@@ -1,6 +1,6 @@
 #include "crypto/aead.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "crypto/chacha.hpp"
 #include "crypto/sha256.hpp"
@@ -11,49 +11,40 @@ namespace dmw::crypto {
 
 namespace {
 
-// Domain-separated subkeys: one for the cipher, one for the MAC. Both live
-// behind the secret-hygiene wrapper so they are wiped when sealing returns.
-struct SubKeys {
-  AeadKey enc;
-  AeadKey mac;
-};
-
-SubKeys derive_subkeys(const AeadKey& key) {
-  SubKeys keys;
-  auto enc = hkdf_sha256(key.reveal(), {}, "dmw-aead-enc", 32);
-  auto mac = hkdf_sha256(key.reveal(), {}, "dmw-aead-mac", 32);
-  keys.enc = make_aead_key(enc);
-  keys.mac = make_aead_key(mac);
-  zeroize(enc);
-  zeroize(mac);
-  return keys;
+void store_le64(std::array<std::uint8_t, 8>& out, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i)
+    out[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(value >> (8 * i));
 }
 
-Digest256 compute_tag(const AeadKey& mac_key, std::uint64_t nonce,
+Digest256 compute_tag(const HmacSha256& mac_key, std::uint64_t nonce,
                       std::span<const std::uint8_t> ciphertext,
                       std::span<const std::uint8_t> aad) {
   // MAC input: len(aad) || aad || nonce || ciphertext (length framing
-  // prevents boundary ambiguity).
-  std::vector<std::uint8_t> input;
-  input.reserve(16 + aad.size() + ciphertext.size());
-  for (int i = 0; i < 8; ++i)
-    input.push_back(static_cast<std::uint8_t>(
-        static_cast<std::uint64_t>(aad.size()) >> (8 * i)));
-  input.insert(input.end(), aad.begin(), aad.end());
-  for (int i = 0; i < 8; ++i)
-    input.push_back(static_cast<std::uint8_t>(nonce >> (8 * i)));
-  input.insert(input.end(), ciphertext.begin(), ciphertext.end());
-  return hmac_sha256(mac_key.reveal(), input);
+  // prevents boundary ambiguity). The framing words sit on the stack and
+  // aad and ciphertext are MACed in place.
+  std::array<std::uint8_t, 8> aad_len, nonce_le;
+  store_le64(aad_len, aad.size());
+  store_le64(nonce_le, nonce);
+  return mac_key.mac({aad_len, aad, nonce_le, ciphertext});
 }
 
 }  // namespace
 
 AeadKey make_aead_key(std::span<const std::uint8_t> bytes) {
   DMW_REQUIRE(bytes.size() == kAeadKeyBytes);
-  std::array<std::uint8_t, kAeadKeyBytes> raw{};
-  std::memcpy(raw.data(), bytes.data(), kAeadKeyBytes);
-  AeadKey key{raw};
-  zeroize(raw);
+  Digest256 prk = hkdf_extract({}, bytes);
+  HmacSha256 prf(prk);
+  std::array<std::uint8_t, kAeadKeyBytes> mac_bytes{};
+  AeadKey key;
+  hkdf_expand(prf, "dmw-aead-enc", key.reveal_mut().enc);
+  hkdf_expand(prf, "dmw-aead-mac", mac_bytes);
+  HmacSha256 mac(mac_bytes);
+  key.reveal_mut().mac = mac;
+  zeroize(prk);
+  zeroize(prf);
+  zeroize(mac_bytes);
+  zeroize(mac);
   return key;
 }
 
@@ -84,11 +75,14 @@ void chacha20_xor(std::span<const std::uint8_t> key32, std::uint64_t nonce,
 std::vector<std::uint8_t> aead_seal(const AeadKey& key, std::uint64_t nonce,
                                     std::span<const std::uint8_t> plaintext,
                                     std::span<const std::uint8_t> aad) {
-  const SubKeys keys = derive_subkeys(key);
-  std::vector<std::uint8_t> out(plaintext.begin(), plaintext.end());
-  chacha20_xor(keys.enc.reveal(), nonce, out);
-  const Digest256 tag = compute_tag(keys.mac, nonce, out, aad);
-  out.insert(out.end(), tag.begin(), tag.begin() + kAeadTagBytes);
+  const AeadSchedule& schedule = key.reveal();
+  std::vector<std::uint8_t> out(plaintext.size() + kAeadTagBytes);
+  const std::span<std::uint8_t> ciphertext =
+      std::span(out).first(plaintext.size());
+  std::copy(plaintext.begin(), plaintext.end(), ciphertext.begin());
+  chacha20_xor(schedule.enc, nonce, ciphertext);
+  const Digest256 tag = compute_tag(schedule.mac, nonce, ciphertext, aad);
+  std::copy_n(tag.begin(), kAeadTagBytes, out.begin() + plaintext.size());
   return out;
 }
 
@@ -96,15 +90,15 @@ std::optional<std::vector<std::uint8_t>> aead_open(
     const AeadKey& key, std::uint64_t nonce,
     std::span<const std::uint8_t> sealed, std::span<const std::uint8_t> aad) {
   if (sealed.size() < kAeadTagBytes) return std::nullopt;
-  const SubKeys keys = derive_subkeys(key);
+  const AeadSchedule& schedule = key.reveal();
   const auto ciphertext = sealed.first(sealed.size() - kAeadTagBytes);
   const auto tag = sealed.last(kAeadTagBytes);
-  const Digest256 expected = compute_tag(keys.mac, nonce, ciphertext, aad);
+  const Digest256 expected = compute_tag(schedule.mac, nonce, ciphertext, aad);
   if (!ct_eq(tag, std::span<const std::uint8_t>(expected.data(),
                                                 kAeadTagBytes)))
     return std::nullopt;
   std::vector<std::uint8_t> out(ciphertext.begin(), ciphertext.end());
-  chacha20_xor(keys.enc.reveal(), nonce, out);
+  chacha20_xor(schedule.enc, nonce, out);
   return out;
 }
 

@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "support/secret.hpp"
 
 namespace dmw::crypto {
@@ -20,12 +22,25 @@ namespace dmw::crypto {
 inline constexpr std::size_t kAeadKeyBytes = 32;
 inline constexpr std::size_t kAeadTagBytes = 16;
 
+/// A channel key's derived schedule: the ChaCha20 subkey and the MAC
+/// subkey as keyed HMAC midstates. Built once per directional key, so a
+/// seal or open runs no key derivation.
+struct AeadSchedule {
+  std::array<std::uint8_t, kAeadKeyBytes> enc{};  ///< HKDF "dmw-aead-enc"
+  HmacSha256 mac;                                 ///< HKDF "dmw-aead-mac"
+};
+// Secret<> byte-wipes it and ct_eq compares its bytes: both need a
+// trivially copyable type whose every byte is part of the value.
+static_assert(std::has_unique_object_representations_v<AeadSchedule>);
+
 /// AEAD key material is always handled through the secret-hygiene layer:
 /// zeroized on destruction, auditable reveal() for the primitive calls.
-using AeadKey = Secret<std::array<std::uint8_t, kAeadKeyBytes>>;
+using AeadKey = Secret<AeadSchedule>;
 
-/// Build an AeadKey from raw bytes, wiping nothing (the caller owns the
-/// source buffer and should zeroize it after handing the bytes over).
+/// Derive the schedule of a 32-byte channel key: one HKDF extract (no
+/// salt), expanded under "dmw-aead-enc" and "dmw-aead-mac". The only place
+/// subkeys are derived. Intermediates are wiped; the caller owns `bytes`
+/// and should zeroize them after handing them over.
 AeadKey make_aead_key(std::span<const std::uint8_t> bytes);
 
 /// XOR `data` in place with the ChaCha20 keystream for (key, nonce).

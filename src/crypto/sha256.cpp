@@ -4,6 +4,7 @@
 
 #include "support/check.hpp"
 #include "support/hex.hpp"
+#include "support/secret.hpp"
 
 namespace dmw::crypto {
 
@@ -36,8 +37,22 @@ void Sha256::reset() {
   finished_ = false;
 }
 
+Sha256 Sha256::resume(const State& state, std::uint64_t blocks) {
+  Sha256 h;
+  h.state_ = state;
+  h.total_bytes_ = blocks * 64;
+  return h;
+}
+
+Sha256::State Sha256::midstate() const {
+  DMW_REQUIRE_MSG(!finished_ && buffered_ == 0,
+                  "Sha256 midstate needs whole blocks and an open hash");
+  return state_;
+}
+
 void Sha256::update(std::span<const std::uint8_t> data) {
   DMW_REQUIRE_MSG(!finished_, "Sha256 used after finish(); call reset()");
+  if (data.empty()) return;  // an empty span may carry a null data()
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -136,28 +151,74 @@ std::string digest_hex(const Digest256& digest) {
   return dmw::to_hex(std::span<const std::uint8_t>(digest));
 }
 
-Digest256 hmac_sha256(std::span<const std::uint8_t> key,
-                      std::span<const std::uint8_t> message) {
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > 64) {
-    const Digest256 kd = Sha256::hash(key);
+    Digest256 kd = Sha256::hash(key);
     std::memcpy(block.data(), kd.data(), kd.size());
+    zeroize(kd);
   } else if (!key.empty()) {
     std::memcpy(block.data(), key.data(), key.size());
   }
-  std::array<std::uint8_t, 64> ipad, opad;
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = block[i] ^ 0x36;
-    opad[i] = block[i] ^ 0x5c;
-  }
-  Sha256 inner;
-  inner.update(std::span<const std::uint8_t>(ipad));
-  inner.update(message);
+  for (auto& b : block) b ^= 0x36;
+  Sha256 h;
+  h.update(std::span<const std::uint8_t>(block));
+  inner_ = h.midstate();
+  for (auto& b : block) b ^= 0x36 ^ 0x5c;
+  h.reset();
+  h.update(std::span<const std::uint8_t>(block));
+  outer_ = h.midstate();
+  zeroize(block);
+  zeroize(h);
+}
+
+Digest256 HmacSha256::mac(
+    std::initializer_list<std::span<const std::uint8_t>> parts) const {
+  Sha256 inner = Sha256::resume(inner_, 1);
+  for (const auto part : parts) inner.update(part);
   const Digest256 inner_digest = inner.finish();
-  Sha256 outer;
-  outer.update(std::span<const std::uint8_t>(opad));
+  Sha256 outer = Sha256::resume(outer_, 1);
   outer.update(std::span<const std::uint8_t>(inner_digest));
   return outer.finish();
+}
+
+Digest256 hmac_sha256(std::span<const std::uint8_t> key,
+                      std::span<const std::uint8_t> message) {
+  HmacSha256 keyed(key);
+  const Digest256 mac = keyed.mac(message);
+  zeroize(keyed);
+  return mac;
+}
+
+Digest256 hkdf_extract(std::span<const std::uint8_t> salt,
+                       std::span<const std::uint8_t> ikm) {
+  if (salt.empty()) {
+    // RFC 5869: a missing salt is HashLen zeros, which pads to the same
+    // HMAC key block as the empty key.
+    static const HmacSha256 empty_salt{std::span<const std::uint8_t>{}};
+    return empty_salt.mac(ikm);
+  }
+  return HmacSha256(salt).mac(ikm);
+}
+
+void hkdf_expand(const HmacSha256& prk, std::string_view info,
+                 std::span<std::uint8_t> out) {
+  DMW_REQUIRE(out.size() <= 255 * 32);
+  const std::span<const std::uint8_t> info_bytes(
+      reinterpret_cast<const std::uint8_t*>(info.data()), info.size());
+  // T(i) = HMAC(PRK, T(i-1) || info || i), with T(0) empty.
+  Digest256 t{};
+  std::size_t t_len = 0;
+  std::uint8_t counter = 1;
+  for (std::size_t offset = 0; offset < out.size(); offset += t.size()) {
+    t = prk.mac({std::span<const std::uint8_t>(t.data(), t_len), info_bytes,
+                 std::span<const std::uint8_t>(&counter, 1)});
+    ++counter;
+    t_len = t.size();
+    std::memcpy(out.data() + offset, t.data(),
+                std::min(t.size(), out.size() - offset));
+  }
+  zeroize(t);
 }
 
 std::vector<std::uint8_t> hkdf_sha256(std::span<const std::uint8_t> ikm,
@@ -165,25 +226,12 @@ std::vector<std::uint8_t> hkdf_sha256(std::span<const std::uint8_t> ikm,
                                       std::string_view info,
                                       std::size_t length) {
   DMW_REQUIRE(length <= 255 * 32);
-  // Extract.
-  const Digest256 prk = hmac_sha256(salt, ikm);
-  // Expand.
-  std::vector<std::uint8_t> out;
-  out.reserve(length);
-  Digest256 t{};
-  std::size_t t_len = 0;
-  std::uint8_t counter = 1;
-  while (out.size() < length) {
-    std::vector<std::uint8_t> input;
-    input.insert(input.end(), t.begin(), t.begin() + t_len);
-    input.insert(input.end(), info.begin(), info.end());
-    input.push_back(counter++);
-    t = hmac_sha256(std::span<const std::uint8_t>(prk),
-                    std::span<const std::uint8_t>(input));
-    t_len = t.size();
-    const std::size_t take = std::min(t.size(), length - out.size());
-    out.insert(out.end(), t.begin(), t.begin() + take);
-  }
+  Digest256 prk = hkdf_extract(salt, ikm);
+  HmacSha256 keyed(prk);
+  std::vector<std::uint8_t> out(length);
+  hkdf_expand(keyed, info, out);
+  zeroize(prk);
+  zeroize(keyed);
   return out;
 }
 

@@ -7,6 +7,7 @@
 // transcript gives the simulation a cheap way to *check* that assumption.)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -42,6 +43,34 @@ class Transcript {
     append_label(label);
     absorb_length(bytes.size());
     hash_.update(bytes);
+  }
+
+  /// One bulletin posting: the same bytes as append_u64("from", from),
+  /// append_u64("kind", kind) and append_bytes("payload", payload), fed as
+  /// one framed header and the payload.
+  void append_posting(std::uint64_t from, std::uint64_t kind,
+                      std::span<const std::uint8_t> payload) {
+    // (8 + 4 + 8 + 8) "from" + (8 + 4 + 8 + 8) "kind" + (8 + 7 + 8) "payload"
+    std::array<std::uint8_t, 79> header;
+    std::size_t at = 0;
+    const auto put_u64 = [&](std::uint64_t value) {
+      for (int i = 0; i < 8; ++i)
+        header[at++] = static_cast<std::uint8_t>(value >> (8 * i));
+    };
+    const auto put_label = [&](std::string_view label) {
+      put_u64(label.size());
+      for (const char c : label) header[at++] = static_cast<std::uint8_t>(c);
+    };
+    put_label("from");
+    put_u64(8);
+    put_u64(from);
+    put_label("kind");
+    put_u64(8);
+    put_u64(kind);
+    put_label("payload");
+    put_u64(payload.size());
+    hash_.update(std::span<const std::uint8_t>(header));
+    hash_.update(payload);
   }
 
   /// Finalize a copy of the running state (the transcript stays usable).

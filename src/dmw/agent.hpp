@@ -29,8 +29,10 @@
 // ascending order, stop at first failure) produced.
 #pragma once
 
+#include <array>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "crypto/aead.hpp"
@@ -905,10 +907,9 @@ class DmwAgent {
             throw net::DecodeError("sealed message from key-less sender");
           net::Reader wrapper(plaintext);
           const std::uint32_t nonce = wrapper.u32();
-          std::vector<std::uint8_t> sealed(
-              plaintext.begin() + 4, plaintext.end());
           auto opened = crypto::aead_open(
-              channel_key(env.from, /*outbound=*/false), nonce, sealed,
+              channel_key(env.from, /*outbound=*/false), nonce,
+              std::span<const std::uint8_t>(plaintext).subspan(4),
               channel_aad(env.from, id_));
           if (!opened) throw net::DecodeError("AEAD authentication failed");
           plaintext = std::move(*opened);
@@ -930,9 +931,7 @@ class DmwAgent {
   void absorb_bulletin(net::SimNetwork& net) {
     const G& g = params_.group();
     for (const auto& posting : net.read_bulletin(bulletin_cursor_)) {
-      transcript_.append_u64("from", posting.from);
-      transcript_.append_u64("kind", posting.kind);
-      transcript_.append_bytes("payload", posting.payload);
+      transcript_.append_posting(posting.from, posting.kind, posting.payload);
       try {
         switch (static_cast<MsgKind>(posting.kind)) {
           case MsgKind::kKeyExchange: {
@@ -1018,14 +1017,19 @@ class DmwAgent {
     return *cache[k];
   }
 
-  /// AAD binding (sender, receiver, kind) into the seal.
-  static std::vector<std::uint8_t> channel_aad(std::size_t sender,
-                                               std::size_t receiver) {
-    net::Writer w;
-    w.u32(static_cast<std::uint32_t>(sender));
-    w.u32(static_cast<std::uint32_t>(receiver));
-    w.u32(static_cast<std::uint32_t>(MsgKind::kShares));
-    return w.take();
+  /// AAD binding (sender, receiver, kind) into the seal: three
+  /// little-endian u32 words.
+  static std::array<std::uint8_t, 12> channel_aad(std::size_t sender,
+                                                  std::size_t receiver) {
+    const std::array<std::uint32_t, 3> words = {
+        static_cast<std::uint32_t>(sender),
+        static_cast<std::uint32_t>(receiver),
+        static_cast<std::uint32_t>(MsgKind::kShares)};
+    std::array<std::uint8_t, 12> aad;
+    for (std::size_t w = 0; w < words.size(); ++w)
+      for (std::size_t b = 0; b < 4; ++b)
+        aad[4 * w + b] = static_cast<std::uint8_t>(words[w] >> (8 * b));
+    return aad;
   }
 
   const PublicParams<G>& params_;

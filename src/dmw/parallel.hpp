@@ -346,11 +346,10 @@ class ParallelProtocol {
 
     // advance(i) runs agent i's chain from its current stage until it either
     // fans out task slices (the last slice re-enters advance) or finishes
-    // the epoch. Lives on the heap so slice jobs can re-enter it; all jobs
-    // complete before drain() returns, so the by-reference captures of this
-    // frame stay valid.
-    auto advance = std::make_shared<std::function<void(std::size_t)>>();
-    *advance = [&, advance, chunk, m](std::size_t i) {
+    // the epoch. Jobs capture it, like the rest of this frame, by reference:
+    // all of them complete before drain() returns.
+    std::function<void(std::size_t)> advance;
+    advance = [&, chunk, m](std::size_t i) {
       Chain& chain = chains[i];
       while (chain.stage < stages.size()) {
         const Stage& stage = stages[chain.stage];
@@ -360,7 +359,7 @@ class ParallelProtocol {
           chain.remaining.store(slices, std::memory_order_relaxed);
           for (std::size_t begin = 0; begin < m; begin += chunk) {
             const std::size_t end = begin + chunk < m ? begin + chunk : m;
-            pool_->submit([this, advance, &chain, &stage, i, begin, end] {
+            pool_->submit([this, &advance, &chain, &stage, i, begin, end] {
               charge([&] {
                 for (std::size_t j = begin; j < end; ++j)
                   stage.task_fn(*agents_[i], j);
@@ -370,7 +369,7 @@ class ParallelProtocol {
                 if (stage.commit_after)
                   charge([&] { agents_[i]->commit_task_failures(net_); });
                 ++chain.stage;
-                (*advance)(i);
+                advance(i);
               }
             });
           }
@@ -383,7 +382,7 @@ class ParallelProtocol {
     };
 
     for (std::size_t i = 0; i < n; ++i)
-      pool_->submit([advance, i] { (*advance)(i); });
+      pool_->submit([&advance, i] { advance(i); });
     pool_->drain();
   }
 

@@ -2,11 +2,14 @@
 // deterministic CSPRNG and the protocol transcript.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "crypto/chacha.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/transcript.hpp"
+#include "support/check.hpp"
 #include "support/hex.hpp"
 
 namespace dmw::crypto {
@@ -114,6 +117,62 @@ TEST(Hkdf, Rfc5869Case1) {
             "34007208d5b887185865");
 }
 
+TEST(Hkdf, Rfc5869Case3EmptySalt) {
+  // Zero-length salt and info: the extract runs under the cached keyed
+  // state for the empty salt. Run twice to cover its reuse.
+  const std::vector<std::uint8_t> ikm(22, 0x0b);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(dmw::to_hex(hkdf_sha256(ikm, {}, "", 42)),
+              "8da4e775a563c18f715f802a063c5a31"
+              "b8a11f5c5ee1879ec3454e5f3c738d2d"
+              "9d201395faa4b61a96c8");
+  }
+  // An explicit salt of HashLen zeros is the same key as no salt.
+  const std::vector<std::uint8_t> zeros(32, 0);
+  EXPECT_EQ(hkdf_extract({}, ikm), hkdf_extract(zeros, ikm));
+  EXPECT_EQ(dmw::to_hex(hkdf_extract({}, ikm)),
+            "19ef24a32c717b167f33a91d6f648bdf"
+            "96596776afdb6377ac434c1c293ccb04");
+}
+
+TEST(HmacSha256, ReusedKeyMatchesOneShotEveryTime) {
+  // Key lengths below, at and above the block size (the last is hashed).
+  for (const std::size_t key_len : {0u, 20u, 32u, 64u, 131u}) {
+    std::vector<std::uint8_t> key(key_len);
+    for (std::size_t i = 0; i < key_len; ++i)
+      key[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    const HmacSha256 keyed(key);
+    for (std::size_t len = 0; len < 200; ++len) {
+      std::vector<std::uint8_t> message(len);
+      for (std::size_t i = 0; i < len; ++i)
+        message[i] = static_cast<std::uint8_t>(i ^ len);
+      const Digest256 expected = hmac_sha256(key, message);
+      ASSERT_EQ(keyed.mac(message), expected) << key_len << " " << len;
+      // Any split of the message into parts MACs the concatenation.
+      const std::span<const std::uint8_t> all(message);
+      const std::size_t cut = len / 3;
+      const Digest256 split = keyed.mac(
+          {all.first(cut), all.subspan(cut, len - 2 * cut), all.last(cut)});
+      ASSERT_EQ(split, expected) << key_len << " " << len;
+    }
+  }
+}
+
+TEST(Sha256, ResumeFromMidstateContinuesTheHash) {
+  std::vector<std::uint8_t> message(64 * 3 + 17);
+  for (std::size_t i = 0; i < message.size(); ++i)
+    message[i] = static_cast<std::uint8_t>(i * 7);
+  const std::span<const std::uint8_t> all(message);
+  Sha256 prefix;
+  prefix.update(all.first(128));
+  Sha256 resumed = Sha256::resume(prefix.midstate(), 2);
+  resumed.update(all.subspan(128));
+  EXPECT_EQ(resumed.finish(), Sha256::hash(message));
+  Sha256 partial;
+  partial.update(all.first(10));
+  EXPECT_THROW((void)partial.midstate(), dmw::CheckError);
+}
+
 TEST(Hkdf, LengthControl) {
   const std::vector<std::uint8_t> ikm(16, 1);
   const std::vector<std::uint8_t> salt;
@@ -201,6 +260,20 @@ TEST(Transcript, LengthFramingPreventsAmbiguity) {
   b.append_label("a");
   b.append_label("bc");
   EXPECT_NE(a.digest_hex(), b.digest_hex());
+}
+
+TEST(Transcript, AppendPostingMatchesLabelledAppends) {
+  Transcript bulk("t"), labelled("t");
+  for (std::uint64_t p = 0; p < 40; ++p) {
+    const std::vector<std::uint8_t> payload(p * 11 % 97,
+                                            static_cast<std::uint8_t>(p));
+    const std::uint64_t from = p % 7, kind = p * 0x0101010101ULL;
+    bulk.append_posting(from, kind, payload);
+    labelled.append_u64("from", from);
+    labelled.append_u64("kind", kind);
+    labelled.append_bytes("payload", payload);
+    ASSERT_EQ(bulk.digest_hex(), labelled.digest_hex()) << p;
+  }
 }
 
 TEST(Transcript, DigestIsNonDestructive) {

@@ -2,8 +2,10 @@
 // backing bytes, ct_eq is correct, and reveal() round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -145,11 +147,38 @@ TEST(CtEq, SecretOverload) {
 TEST(AeadKey, MakeFromBytesAndCompare) {
   std::vector<std::uint8_t> bytes(crypto::kAeadKeyBytes, 0x42);
   const auto key = crypto::make_aead_key(bytes);
-  EXPECT_EQ(key.reveal()[0], 0x42);
+  // The schedule holds the derived cipher subkey, never the raw key bytes.
+  const auto enc = crypto::hkdf_sha256(bytes, {}, "dmw-aead-enc", 32);
+  EXPECT_TRUE(std::equal(enc.begin(), enc.end(), key.reveal().enc.begin()));
   std::vector<std::uint8_t> other(crypto::kAeadKeyBytes, 0x42);
   EXPECT_TRUE(ct_eq(key, crypto::make_aead_key(other)));
   other[0] = 0x43;
   EXPECT_FALSE(ct_eq(key, crypto::make_aead_key(other)));
+}
+
+// The cached schedule (cipher subkey and HMAC midstates) is key material:
+// it must be gone from the channel's storage once the key dies.
+TEST(AeadKey, DestructionClearsCachedSchedule) {
+  alignas(crypto::AeadKey) unsigned char storage[sizeof(crypto::AeadKey)];
+  std::memset(storage, 0x5A, sizeof(storage));
+  std::vector<std::uint8_t> bytes(crypto::kAeadKeyBytes, 0x42);
+  auto* key = new (storage) crypto::AeadKey(crypto::make_aead_key(bytes));
+  const crypto::HmacSha256 zero_mac{};
+  EXPECT_FALSE(ct_eq(key->reveal().mac, zero_mac));  // midstates are set
+  std::destroy_at(key);
+  for (unsigned char byte : storage) EXPECT_EQ(byte, 0);
+}
+
+TEST(HmacSha256, SecretWrapperWipesMidstates) {
+  using Keyed = Secret<crypto::HmacSha256>;
+  alignas(Keyed) unsigned char storage[sizeof(Keyed)];
+  std::memset(storage, 0x5A, sizeof(storage));
+  const std::vector<std::uint8_t> mac_key(32, 0x17);
+  auto* keyed = new (storage) Keyed(crypto::HmacSha256(mac_key));
+  EXPECT_EQ(keyed->reveal().mac(mac_key),
+            crypto::hmac_sha256(mac_key, mac_key));
+  std::destroy_at(keyed);
+  for (unsigned char byte : storage) EXPECT_EQ(byte, 0);
 }
 
 }  // namespace

@@ -2,10 +2,16 @@
 // the sealed Phase II share traffic (paper II.2 "securely transmits").
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "crypto/aead.hpp"
 #include "crypto/dh.hpp"
 #include "dmw/protocol.hpp"
 #include "mech/minwork.hpp"
+#include "support/hex.hpp"
 
 namespace dmw {
 namespace {
@@ -17,7 +23,7 @@ using num::Group64;
 crypto::AeadKey key_of(std::uint8_t fill) {
   std::array<std::uint8_t, crypto::kAeadKeyBytes> raw;
   raw.fill(fill);
-  return crypto::AeadKey(raw);
+  return crypto::make_aead_key(raw);
 }
 
 std::vector<std::uint8_t> bytes_of(std::string_view s) {
@@ -77,14 +83,47 @@ TEST(Aead, WrongKeyNonceOrAadRejected) {
   EXPECT_FALSE(aead_open(key, 9, bytes_of("short"), aad).has_value());
 }
 
+// Known answers recorded before the key schedule moved into AeadKey: key
+// bytes 00..1f, nonce 0x0102030405060708, the 12-byte channel AAD of
+// sender 3 -> receiver 5, plaintext byte i = 7i + 1. The wire format must
+// not move.
+TEST(Aead, KnownAnswerVectors) {
+  std::array<std::uint8_t, crypto::kAeadKeyBytes> raw;
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    raw[i] = static_cast<std::uint8_t>(i);
+  const auto key = crypto::make_aead_key(raw);
+  const std::vector<std::uint8_t> aad = {3, 0, 0, 0, 5, 0, 0, 0, 3, 0, 0, 0};
+  const std::pair<std::size_t, std::string_view> cases[] = {
+      {0, "c71c012d01704a66d04207ef8ade814e"},
+      {36,
+       "6742991d696b320b071717488d42dd0df7c7653358a4fceead2534539165c5e8"
+       "7b1f1bdfe48c729914e06840bbe46b0f706b650c"},
+      {100,
+       "6742991d696b320b071717488d42dd0df7c7653358a4fceead2534539165c5e8"
+       "7b1f1bdf124750f1291cf4771fb6fe1238ba5a39e0e0ad686edb73c58f8f7485"
+       "1c83dd13cb6352e3928934dc9d63d5177ce4064e29ef69fff9ae60e96ec50171"
+       "7cc24ddddc998c3002960b0720dda1653d42916b"},
+  };
+  for (const auto& [length, hex] : cases) {
+    std::vector<std::uint8_t> plaintext(length);
+    for (std::size_t i = 0; i < length; ++i)
+      plaintext[i] = static_cast<std::uint8_t>(7 * i + 1);
+    const auto sealed = aead_seal(key, 0x0102030405060708ULL, plaintext, aad);
+    EXPECT_EQ(to_hex(sealed), hex) << length;
+    const auto opened = aead_open(key, 0x0102030405060708ULL, sealed, aad);
+    ASSERT_TRUE(opened.has_value()) << length;
+    EXPECT_EQ(*opened, plaintext);
+  }
+}
+
 TEST(Aead, XorIsAnInvolution) {
   const auto key = key_of(1);
   auto data = bytes_of("some stream data, longer than one block? no - "
                        "make it longer than sixty four bytes to be sure!");
   const auto original = data;
-  crypto::chacha20_xor(key.reveal(), 77, data);
+  crypto::chacha20_xor(key.reveal().enc, 77, data);
   EXPECT_NE(data, original);
-  crypto::chacha20_xor(key.reveal(), 77, data);
+  crypto::chacha20_xor(key.reveal().enc, 77, data);
   EXPECT_EQ(data, original);
 }
 

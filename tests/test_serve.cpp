@@ -5,7 +5,10 @@
 // every thread count and schedule mode, pinned by the stream digest).
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -18,29 +21,54 @@
 // ---- Counting operator new -------------------------------------------------
 // Thread-local allocation counter: the steady-state tests assert that the
 // per-auction bookkeeping path (latency record + window summaries, arena
-// cycles) performs zero heap allocations once warmed up.
+// cycles) performs zero heap allocations once warmed up. The process-wide
+// live-byte balance (usable bytes allocated minus freed, from any thread)
+// shows whether auctions leak.
 namespace {
 thread_local std::uint64_t t_allocations = 0;
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* counted_malloc(std::size_t size) {
+  ++t_allocations;
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr)
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  ++t_allocations;
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+void* operator new(std::size_t size) { return counted_malloc(size); }
+void* operator new[](std::size_t size) { return counted_malloc(size); }
+// The nothrow forms too (std::stable_partition's temporary buffer uses
+// them): memory from the default allocator must not reach these deletes.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_malloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
 }
-
-void* operator new[](std::size_t size) {
-  ++t_allocations;
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
 }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace dmw::proto {
 namespace {
@@ -228,6 +256,33 @@ TEST(ServeEngine, SteadyStateHasZeroArenaGrowth) {
   EXPECT_EQ(arena.slab_allocations, slabs_at_warmup)
       << "steady state allocated new arena slabs after warmup";
   EXPECT_EQ(arena.resets, 60u * engine.arenas().size());
+}
+
+// Every auction's heap is returned once it is served: after warmup (lazy
+// tables, arena slabs, vector high-water marks) the live heap stays flat.
+// Sealed channels and the pipelined engine, at one and two workers.
+TEST(ServeEngine, SteadyStateLiveHeapDoesNotGrow) {
+  for (const std::size_t threads : {1u, 2u}) {
+    const auto params = PublicParams<Group64>::make(grp(), 5, 2, 1, 17);
+    ArrivalProcess arrivals(ArrivalProcess::Mode::kAsap, 0.0, 0);
+    const auto stream =
+        make_request_stream(96, 17, WorkloadKind::kUniform, arrivals);
+    ServeEngine<Group64> engine(params, engine_config(threads, false, false));
+    const std::size_t warmup = 32;
+    std::int64_t live_at_warmup = 0;
+    for (const auto& request : stream) {
+      engine.run_auction(request);
+      if (engine.auctions() == warmup)
+        live_at_warmup = g_live_bytes.load(std::memory_order_relaxed);
+    }
+    EXPECT_EQ(engine.aborted(), 0u);
+    const std::int64_t growth =
+        g_live_bytes.load(std::memory_order_relaxed) - live_at_warmup;
+    const auto served = static_cast<std::int64_t>(stream.size() - warmup);
+    EXPECT_LT(growth, 64 * served)
+        << threads << " workers: " << growth << " B over " << served
+        << " auctions";
+  }
 }
 
 TEST(ServeEngine, AbortedAuctionsAreCountedAndDigested) {

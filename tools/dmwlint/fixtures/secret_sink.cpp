@@ -7,7 +7,8 @@
 
 namespace dmw {
 
-void leak_examples(const Secret<int>& token, const crypto::AeadKey& key) {
+void leak_examples(const Secret<int>& token, const crypto::AeadKey& key,
+                   const crypto::HmacSha256& mac_key) {
   DMW_INFO("token=%d", token);  // EXPECT: secret-sink
 
   std::printf("%d\n", token);  // EXPECT: secret-sink
@@ -16,12 +17,14 @@ void leak_examples(const Secret<int>& token, const crypto::AeadKey& key) {
   DMW_WARN("key byte %u",  // EXPECT: secret-sink
            key[0]);
 
+  DMW_DEBUG("mac midstates at %p", &mac_key);  // EXPECT: secret-sink
+
   // Mentioning a secret inside a *string* is fine: literals are blanked.
   DMW_INFO("the token and key are not printed here");
 
   // The reveal() token is the sanctioned path.
   DMW_DEBUG("token=%d", token.reveal());
-  std::printf("%d\n", key.reveal()[0]);
+  std::printf("%d\n", key.reveal().enc[0]);
 
   // dmwlint:allow(secret-sink) test vector dump, gated at call site
   DMW_TRACE("raw=%d", token);

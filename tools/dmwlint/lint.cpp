@@ -342,7 +342,7 @@ void rule_naive_call(const SourceFile& file,
 
 std::vector<std::string> collect_secret_identifiers(const SourceFile& file) {
   static const std::regex decl_re(
-      R"((?:\bSecret\s*<[^;{}()]*>|\bAeadKey\b)\s*[&*]?\s*([A-Za-z_]\w*)\s*(?:[;={(,)\[]|$))");
+      R"((?:\bSecret\s*<[^;{}()]*>|\bAeadKey\b|\bHmacSha256\b)\s*[&*]?\s*([A-Za-z_]\w*)\s*(?:[;={(,)\[]|$))");
   std::vector<std::string> names;
   for (const auto& line : file.lines) {
     for (std::sregex_iterator it(line.code.begin(), line.code.end(), decl_re),

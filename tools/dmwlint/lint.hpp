@@ -6,9 +6,10 @@
 //   naive-call       *_naive exponentiation paths are differential oracles
 //                    and ablation baselines only; a fast-path caller reaching
 //                    one silently breaks the Thm. 12 op-count accounting.
-//   secret-sink      a Secret<T>/AeadKey identifier may reach a logging /
-//                    JSON / serialization / stdio sink only through an
-//                    explicit reveal() — the Thm. 10 privacy choke point.
+//   secret-sink      a Secret<T>/AeadKey/HmacSha256 identifier may reach a
+//                    logging / JSON / serialization / stdio sink only
+//                    through an explicit reveal() — the Thm. 10 privacy
+//                    choke point.
 //   ct-branch        no data-dependent if/ternary/short-circuit inside
 //                    regions tagged `// dmwlint: constant-time` (ct_eq, the
 //                    ChaCha20 and SHA-256 kernels).
