@@ -14,12 +14,7 @@
 // runners and uploads the artifact with the real scaling curve.
 //
 // Usage: bench_parallel [--out FILE] [--quick] [--stdout] [--threads N]
-//                       [--schedule dynamic|static]
 //   --threads N   sweep only N workers (0 = auto-detect hardware_concurrency)
-//   --schedule S  pin the engine discipline instead of honouring
-//                 DMW_DETERMINISTIC_SCHEDULE — CI measures the work-stealing
-//                 (dynamic) curve explicitly so the canonical scaling-curve
-//                 artifact is not at the mercy of the runner's environment
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -64,31 +59,17 @@ int main(int argc, char** argv) try {
   dmw::Logger::instance().set_level(dmw::LogLevel::kInfo);
   dmw::Flags flags(
       argc, argv,
-      {"out", "quick!", "stdout!", "threads", "schedule", "help!"});
+      {"out", "quick!", "stdout!", "threads", "help!"});
   const std::string out_path = flags.get_string("out", "BENCH_parallel.json");
   const bool quick = flags.get_bool("quick");
   const bool to_stdout = flags.get_bool("stdout");
   if (flags.get_bool("help")) {
-    std::puts(
-        "bench_parallel [--out FILE] [--quick] [--stdout] [--threads N]\n"
-        "               [--schedule dynamic|static]");
+    std::puts("bench_parallel [--out FILE] [--quick] [--stdout] [--threads N]");
     return 0;
   }
-  const std::string schedule = flags.get_string(
-      "schedule", dmw::ThreadPool::deterministic_schedule_default()
-                      ? "static"
-                      : "dynamic");
-  if (schedule != "dynamic" && schedule != "static") {
-    DMW_ERROR() << "bench_parallel: --schedule must be dynamic or static, got "
-                << schedule;
-    return 1;
-  }
-  dmw::proto::RunConfig run_config;
-  run_config.deterministic_schedule = schedule == "static";
 
   DMW_INFO() << "bench_parallel: hardware_concurrency="
-             << dmw::ThreadPool::default_thread_count() << " schedule="
-             << schedule;
+             << dmw::ThreadPool::default_thread_count();
 
   const std::vector<std::size_t> task_counts =
       quick ? std::vector<std::size_t>{4} : std::vector<std::size_t>{8, 32, 128};
@@ -115,7 +96,6 @@ int main(int argc, char** argv) try {
   json.begin_object();
   json.key("bench").value("parallel");
   json.key("schema_version").value(std::uint64_t{2});
-  json.key("schedule").value(schedule);
   json.key("group").value("GroupBig<4>: 250-bit p, 160-bit q (seed 1)");
   json.key("n").value(std::uint64_t{kAgents});
   json.key("hardware_concurrency")
@@ -143,7 +123,7 @@ int main(int argc, char** argv) try {
     for (const std::size_t threads : thread_counts) {
       const std::int64_t begin = dmw::trace::Tracer::instance().now_ns();
       const auto outcome =
-          dmw::proto::run_parallel_dmw(params, instance, threads, run_config);
+          dmw::proto::run_parallel_dmw(params, instance, threads);
       const double seconds = elapsed_s(begin);
       const bool match = outcomes_match(reference, outcome);
       all_match = all_match && match;

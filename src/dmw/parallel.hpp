@@ -21,8 +21,7 @@
 // BatchVerifier invocation is one independent (agent, task) job in that bag.
 //
 // Determinism contract (Outcomes, AbortReason streams and RunReports are
-// bit-identical across thread counts, schedule modes and vs the sequential
-// engine):
+// bit-identical across thread counts and vs the sequential engine):
 //
 //   - Per-task randomness comes from ChaCha streams keyed by
 //     (master seed, agent, task) — DmwAgent::task_rng — so sampled
@@ -40,12 +39,8 @@
 //     once before the fan-out and are immutable afterwards; workers only
 //     read them.
 //
-// Under RunConfig::deterministic_schedule the engine degrades to the
-// legacy lockstep interpreter (static contiguous shards + a pool barrier
-// per stage), pinning the execution interleaving itself; results are
-// identical either way, which the bit-identity soak in
-// tests/test_parallel_protocol.cpp pins across {1,2,4,8} threads x
-// {honest, deviant, crash} x both schedule modes.
+// The bit-identity soak in tests/test_parallel_protocol.cpp pins this
+// against ProtocolRunner across {1,2,4,8} threads x {honest, deviant, crash}.
 //
 // The bulletin may interleave *postings within a round* differently from
 // the sequential runner, but every Outcome field is a function of
@@ -86,8 +81,7 @@ class ParallelProtocol {
       : ParallelProtocol(
             params, instance, std::move(strategies),
             std::make_unique<ThreadPool>(
-                threads == 0 ? ThreadPool::default_thread_count() : threads,
-                config.deterministic_schedule),
+                threads == 0 ? ThreadPool::default_thread_count() : threads),
             /*borrowed=*/nullptr, config) {
     if (threads == 0) {
       DMW_INFO() << "--threads 0 resolved to " << pool_->size()
@@ -99,24 +93,15 @@ class ParallelProtocol {
   /// A stream of auctions (tools/dmw_serve) then reuses a single warmed set
   /// of workers across requests — thread creation and teardown leave the
   /// per-auction path entirely. The pool must be quiescent for the duration
-  /// of run() (the engine is its only client between drain barriers), and
-  /// the pool's scheduling discipline must match config.deterministic_schedule
-  /// — the pool's discipline is what actually executes.
+  /// of run() (the engine is its only client between drain barriers).
   ParallelProtocol(const PublicParams<G>& params,
                    const mech::SchedulingInstance& instance,
                    std::vector<Strategy<G>*> strategies, ThreadPool& pool,
                    RunConfig config = RunConfig{})
       : ParallelProtocol(params, instance, std::move(strategies),
-                         /*owned=*/nullptr, &pool, config) {
-    DMW_REQUIRE_MSG(
-        pool.deterministic_schedule() == config.deterministic_schedule,
-        "ParallelProtocol: borrowed pool discipline disagrees with RunConfig");
-  }
+                         /*owned=*/nullptr, &pool, config) {}
 
   std::size_t threads() const { return pool_->size(); }
-  bool deterministic_schedule() const {
-    return pool_->deterministic_schedule();
-  }
   net::SimNetwork& network() { return net_; }
   const DmwAgent<G>& agent(std::size_t i) const { return *agents_[i]; }
 
@@ -232,20 +217,20 @@ class ParallelProtocol {
   };
 
   /// Runtime-checked entry to the driver-only surface. run() may be invoked
-  /// from any non-pool thread; everything downstream of it — run_epoch, the
-  /// two interpreters, advance_round, worker_ops_ merges, deferred-failure
-  /// commits on the lockstep path — assumes the caller IS the (single)
-  /// driver. The assert tells clang's capability analysis to assume the
-  /// driver_role_ role from here on, and the DMW_REQUIRE backs that up at
-  /// runtime: a pool worker reaching run() (e.g. a future nested-engine
-  /// refactor) trips immediately instead of racing the epoch bookkeeping.
+  /// from any non-pool thread; everything downstream of it — run_epoch,
+  /// run_pipelined, advance_round, worker_ops_ merges — assumes the caller
+  /// IS the (single) driver. The assert tells clang's capability analysis
+  /// to assume the driver_role_ role from here on, and the DMW_REQUIRE backs
+  /// that up at runtime: a pool worker reaching run() (e.g. a future
+  /// nested-engine refactor) trips immediately instead of racing the epoch
+  /// bookkeeping.
   void assert_driver() DMW_ASSERT_CAPABILITY(driver_role_) {
     DMW_REQUIRE_MSG(ThreadPool::current_worker_id() == -1,
                     "ParallelProtocol::run called from a pool worker");
   }
 
-  /// One network epoch: the stages run (pipelined per agent, or lockstep
-  /// under deterministic_schedule), then the round advances and the phase
+  /// One network epoch: the stages run pipelined per agent, then the round
+  /// advances and the phase
   /// bucket absorbs this epoch's traffic, wall time and the op-count deltas
   /// of the driver and every worker.
   void run_epoch(Phase phase, Outcome& outcome, std::vector<Stage> stages)
@@ -258,10 +243,7 @@ class ParallelProtocol {
     trace::Span span(to_string(phase));
     const std::int64_t step_begin_ns = trace::Tracer::instance().now_ns();
 
-    if (pool_->deterministic_schedule())
-      run_lockstep(stages);
-    else
-      run_pipelined(stages);
+    run_pipelined(stages);
 
     net_.advance_round();
     ++outcome.rounds;
@@ -288,41 +270,12 @@ class ParallelProtocol {
     accumulate_traffic(bucket.stats, net_.stats(), traffic_before);
 
     note_aborts(agents_, outcome);
-    // Epoch boundary: every worker is idle (the barrier/drain returned), so
+    // Epoch boundary: every worker is idle (the drain returned), so
     // their span buffers can be drained into the central log in worker-id
     // order. This is the only place spans are flushed — there are no
     // intra-epoch stage barriers anymore.
     if (trace::on()) trace::Tracer::instance().flush_thread_buffers();
   }
-
-  // ---- Legacy lockstep interpreter (deterministic_schedule) ----------------
-
-  /// Runs every stage as a global barrier: per-agent prologue sharded over
-  /// agents, per-task fan-out sharded over tasks (worker owning task j runs
-  /// it for every agent), commits serial on the driver in agent order. The
-  /// worker->indices mapping is the pool's static partition — a pure
-  /// function of (count, thread count).
-  void run_lockstep(const std::vector<Stage>& stages)
-      DMW_REQUIRES(driver_role_) {
-    for (const Stage& stage : stages) {
-      if (stage.agent_fn) {
-        pool_->parallel_for(agents_.size(), [&](std::size_t i) {
-          charge([&] { stage.agent_fn(*agents_[i]); });
-        });
-      }
-      if (stage.task_fn) {
-        pool_->parallel_for(params_.m(), [&](std::size_t j) {
-          charge([&] {
-            for (auto& agent : agents_) stage.task_fn(*agent, j);
-          });
-        });
-      }
-      if (stage.commit_after)
-        for (auto& agent : agents_) agent->commit_task_failures(net_);
-    }
-  }
-
-  // ---- Pipelined interpreter (default) -------------------------------------
 
   /// Per-agent chains through the epoch's stages. Each chain runs its
   /// prologue, fans its task work out as stealable chunk slices, and the
@@ -405,8 +358,8 @@ class ParallelProtocol {
   std::unique_ptr<ThreadPool> owned_pool_;  ///< null when the pool is borrowed
   ThreadPool* pool_;                        ///< owned_pool_.get() or borrowed
   std::vector<dmw::num::OpCounts> worker_ops_;  // merged per run_epoch
-  /// Phantom "driver" capability (annotations.hpp): run_epoch and the
-  /// interpreters DMW_REQUIRES it, assert_driver() produces it.
+  /// Phantom "driver" capability (annotations.hpp): run_epoch and
+  /// run_pipelined DMW_REQUIRES it, assert_driver() produces it.
   ThreadRole driver_role_;
 };
 

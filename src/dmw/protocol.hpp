@@ -19,7 +19,6 @@
 #include "dmw/payment.hpp"
 #include "mech/schedule.hpp"
 #include "numeric/opcount.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace dmw::proto {
@@ -76,12 +75,6 @@ struct RunConfig {
   /// Seal Phase II shares with DH-derived AEAD keys (paper II.2 "securely
   /// transmits"). Disable to model physically private channels.
   bool encrypt_channels = true;
-  /// Parallel engine only: pin the worker->work mapping to the static
-  /// sharding (reproducible interleavings) instead of the default pipelined
-  /// work-stealing schedule. Outcomes are bit-identical either way; this
-  /// knob trades throughput for a reproducible *execution schedule*.
-  /// Default comes from the DMW_DETERMINISTIC_SCHEDULE env var.
-  bool deterministic_schedule = ThreadPool::deterministic_schedule_default();
 };
 
 // ---- Pieces shared by the sequential and task-parallel drivers -------------

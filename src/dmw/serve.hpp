@@ -6,14 +6,11 @@
 // tear it all down. A marketplace serving heavy traffic runs *many* auctions
 // against one agent set, so ServeEngine inverts the ownership: it holds ONE
 // PublicParams (pseudonym powers + fixed-base/MultiExp commitment tables
-// built once, immutable, read concurrently), ONE warmed ThreadPool (borrowed
-// by each ParallelProtocol via its server-mode constructor), and per-worker
-// arenas (support/arena.hpp) for per-auction scratch. Per request it derives
-// a fresh instance and secret seed, runs the pipelined engine, folds the
-// Outcome into a running SHA-256 stream digest, and rewinds the arenas. After
-// warmup the arena slab set is at its high-water mark and the per-auction
-// steady state performs zero arena heap allocations — the serve report
-// exposes that and tests/CI gate it.
+// built once, immutable, read concurrently) and ONE warmed ThreadPool
+// (borrowed by each ParallelProtocol via its server-mode constructor). Per
+// request it derives a fresh instance and secret seed, runs the pipelined
+// engine, and folds the Outcome into a running SHA-256 stream digest.
+// Per-auction scratch lives on the plain heap; perfbench measures it.
 //
 // Reproducibility contract: request r with seed s is bit-identical to the
 // one-shot drivers —
@@ -25,8 +22,8 @@
 // replays any single auction from a serve stream, and ServeEngine's own
 // check_oneshot mode re-runs every request through the sequential
 // ProtocolRunner and compares all Outcome fields. The stream digest is a
-// function of Outcomes only, so it is bit-identical across thread counts and
-// schedule modes (the serve-smoke CI job pins this).
+// function of Outcomes only, so it is bit-identical across thread counts
+// (the serve-smoke CI job pins this).
 //
 // This header is JSON-free on purpose: report assembly (worker counts,
 // hardware_concurrency, latency tables) lives in tools/dmw_serve.cpp, keeping
@@ -34,6 +31,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -45,7 +43,6 @@
 #include "dmw/protocol.hpp"
 #include "dmw/strategies.hpp"
 #include "mech/problem.hpp"
-#include "support/arena.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -260,7 +257,7 @@ class LatencyRecorder {
 };
 
 /// Persistent auction server: shared immutable parameters, one warmed pool,
-/// per-worker arenas, honest agents, and a running Outcome-stream digest.
+/// honest agents, and a running Outcome-stream digest.
 /// Single-threaded driver surface: run_auction() must be called from the
 /// owning (non-pool) thread, one request at a time.
 template <dmw::num::GroupBackend G>
@@ -268,6 +265,8 @@ class ServeEngine {
  public:
   struct Config {
     std::size_t threads = 1;  ///< 0 = hardware concurrency
+    /// Vestige of the deleted static schedule, kept only because
+    /// perfbench/driver.cpp sets it; the pool rejects true.
     bool deterministic_schedule = false;
     bool encrypt_channels = true;
     /// Re-run every request through the sequential ProtocolRunner and
@@ -275,7 +274,6 @@ class ServeEngine {
     /// doubles the work per request.
     bool check_oneshot = false;
     std::uint64_t base_secret_seed = RunConfig{}.secret_seed;
-    std::size_t arena_slab_bytes = Arena::kDefaultSlabBytes;
   };
 
   ServeEngine(const PublicParams<G>& params, Config config)
@@ -284,14 +282,12 @@ class ServeEngine {
         pool_(config.threads == 0 ? ThreadPool::default_thread_count()
                                   : config.threads,
               config.deterministic_schedule),
-        arenas_(pool_.size(), config.arena_slab_bytes),
         strategies_(params.n(), &honest_) {
     chain_.fill(0);
   }
 
   std::size_t threads() const { return pool_.size(); }
   const PublicParams<G>& params() const { return params_; }
-  WorkerArenas& arenas() { return arenas_; }
 
   /// Run one request to completion on the shared pool. The returned Outcome
   /// reference is valid until the next run_auction() call.
@@ -303,7 +299,6 @@ class ServeEngine {
     config.secret_seed =
         serve_secret_seed(config_.base_secret_seed, request.seed);
     config.encrypt_channels = config_.encrypt_channels;
-    config.deterministic_schedule = config_.deterministic_schedule;
 
     ParallelProtocol<G> engine(params_, instance, strategies_, pool_, config);
     outcome_ = engine.run();
@@ -316,9 +311,6 @@ class ServeEngine {
     fold_into_digest(request);
     ++auctions_;
     if (outcome_.aborted) ++aborted_;
-    // Auction boundary: engine.run() returned, the pool is quiescent — the
-    // per-worker scratch of this request is dead and the slabs rewind.
-    arenas_.reset_all();
     return outcome_;
   }
 
@@ -327,12 +319,11 @@ class ServeEngine {
   /// Requests whose parallel Outcome differed from the sequential re-run
   /// (only ever counted with Config::check_oneshot; the gate is == 0).
   std::uint64_t oneshot_mismatches() const { return oneshot_mismatches_; }
-  Arena::Stats arena_stats() const { return arenas_.combined_stats(); }
 
   /// Hex digest of the Outcome stream so far: a SHA-256 chain over every
   /// request's (id, seed, outcome fields). Equal digests <=> byte-identical
   /// per-auction outcome streams; the serve-smoke job compares them across
-  /// thread counts and schedule modes.
+  /// thread counts.
   std::string outcome_digest() const { return crypto::digest_hex(chain_); }
 
   /// Field-by-field Outcome identity (the bit-identity contract's fields:
@@ -362,46 +353,39 @@ class ServeEngine {
   }
 
  private:
-  /// chain <- SHA256(chain || encode(request, outcome)). The encoding is
-  /// staged in the driver's arena (per-auction scratch, rewound at the
-  /// boundary), not the heap.
+  /// chain <- SHA256(chain || encode(request, outcome)), where encode is a
+  /// sequence of little-endian u64s streamed straight into the hasher.
   void fold_into_digest(const AuctionRequest& request) {
-    ArenaVector<std::uint8_t> buffer{
-        ArenaAllocator<std::uint8_t>(arenas_.local())};
-    buffer.reserve(64 + 8 * (params_.m() + 3 * params_.n()));
-    append_u64(buffer, request.id);
-    append_u64(buffer, request.seed);
-    append_u64(buffer, outcome_.aborted ? 1 : 0);
-    if (outcome_.aborted) {
-      append_u64(buffer, outcome_.aborting_agent);
-      append_u64(buffer, outcome_.abort_record->task);
-      append_u64(buffer,
-                 static_cast<std::uint64_t>(outcome_.abort_record->reason));
-    } else {
-      for (std::size_t j = 0; j < params_.m(); ++j)
-        append_u64(buffer, outcome_.schedule.agent_for(j));
-      for (const auto price : outcome_.first_prices) append_u64(buffer, price);
-      for (const auto price : outcome_.second_prices) append_u64(buffer, price);
-    }
-    for (const auto payment : outcome_.payments) append_u64(buffer, payment);
-    append_u64(buffer, outcome_.rounds);
-    append_u64(buffer, outcome_.transcripts_consistent ? 1 : 0);
-
     crypto::Sha256 hasher;
     hasher.update(std::span<const std::uint8_t>(chain_.data(), chain_.size()));
-    hasher.update(std::span<const std::uint8_t>(buffer.data(), buffer.size()));
+    const auto put = [&hasher](std::uint64_t v) {
+      std::array<std::uint8_t, 8> bytes{};
+      for (std::size_t b = 0; b < bytes.size(); ++b)
+        bytes[b] = static_cast<std::uint8_t>(v >> (8 * b));
+      hasher.update(bytes);
+    };
+    put(request.id);
+    put(request.seed);
+    put(outcome_.aborted ? 1 : 0);
+    if (outcome_.aborted) {
+      put(outcome_.aborting_agent);
+      put(outcome_.abort_record->task);
+      put(static_cast<std::uint64_t>(outcome_.abort_record->reason));
+    } else {
+      for (std::size_t j = 0; j < params_.m(); ++j)
+        put(outcome_.schedule.agent_for(j));
+      for (const auto price : outcome_.first_prices) put(price);
+      for (const auto price : outcome_.second_prices) put(price);
+    }
+    for (const auto payment : outcome_.payments) put(payment);
+    put(outcome_.rounds);
+    put(outcome_.transcripts_consistent ? 1 : 0);
     chain_ = hasher.finish();
-  }
-
-  static void append_u64(ArenaVector<std::uint8_t>& buffer, std::uint64_t v) {
-    for (int b = 0; b < 8; ++b)
-      buffer.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
   }
 
   const PublicParams<G>& params_;
   const Config config_;
   ThreadPool pool_;
-  WorkerArenas arenas_;
   HonestStrategy<G> honest_;
   std::vector<Strategy<G>*> strategies_;
   Outcome outcome_;

@@ -165,19 +165,13 @@ TEST_F(CommLedger, LedgerBitIdenticalAcrossThreadsAndSchedules) {
 
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const bool deterministic : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " deterministic=" + std::to_string(deterministic));
-      trace::Tracer::instance().reset();
-      trace::Tracer::instance().set_enabled(true);
-      proto::RunConfig parallel_config;
-      parallel_config.deterministic_schedule = deterministic;
-      const auto outcome =
-          proto::run_parallel_dmw(params, instance, threads, parallel_config);
-      trace::Tracer::instance().set_enabled(false);
-      ASSERT_FALSE(outcome.aborted);
-      expect_rows_equal(outcome.comm, reference.comm);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    trace::Tracer::instance().reset();
+    trace::Tracer::instance().set_enabled(true);
+    const auto outcome = proto::run_parallel_dmw(params, instance, threads);
+    trace::Tracer::instance().set_enabled(false);
+    ASSERT_FALSE(outcome.aborted);
+    expect_rows_equal(outcome.comm, reference.comm);
   }
 }
 

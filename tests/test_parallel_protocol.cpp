@@ -1,12 +1,10 @@
 // The task-parallel engine's contract: ParallelProtocol produces Outcomes
-// bit-identical to the sequential ProtocolRunner at every thread count and
-// in both schedule modes (pipelined work stealing and deterministic static
-// sharding) — honest runs, deviant aborts and crash-tolerant runs alike —
-// and the concurrency substrate (ThreadPool's static shards, dynamic
-// deque/steal scheduler and submit/drain chains; SimNetwork under concurrent
-// traffic) behaves as specified. Run under TSan in CI (the `tsan` job, in
-// both schedule modes) these tests double as the race-freedom proof
-// obligation — including the proof that shared per-agent caches are only
+// bit-identical to the sequential ProtocolRunner at every thread count —
+// honest runs, deviant aborts and crash-tolerant runs alike — and the
+// concurrency substrate (ThreadPool's deque/steal scheduler and submit/drain
+// chains; SimNetwork under concurrent traffic) behaves as specified. Run
+// under TSan in CI (the `tsan` job) these tests double as the race-freedom
+// proof obligation — including the proof that shared per-agent caches are only
 // read after publication.
 #include <gtest/gtest.h>
 
@@ -30,48 +28,30 @@ using num::Group64;
 const Group64& grp() { return Group64::test_group(); }
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
-constexpr bool kScheduleModes[] = {false, true};  // deterministic_schedule
-
-std::string schedule_name(bool deterministic) {
-  return deterministic ? "static" : "dynamic";
-}
 
 // ---- ThreadPool ------------------------------------------------------------
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  for (bool deterministic : kScheduleModes) {
-    ThreadPool pool(4, deterministic);
-    std::vector<int> hits(1000, 0);
-    std::vector<int> worker(1000, -2);
-    pool.parallel_for(hits.size(), [&](std::size_t i) {
-      ++hits[i];  // each index is owned by exactly one worker
-      worker[i] = ThreadPool::current_worker_id();
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i], 1) << schedule_name(deterministic) << " index " << i;
-      EXPECT_GE(worker[i], 0);
-      EXPECT_LT(worker[i], 4);
-    }
-    EXPECT_EQ(ThreadPool::current_worker_id(), -1);  // off-pool thread
-  }
-}
-
-TEST(ThreadPool, StaticPartitionIsContiguousPerWorker) {
-  ThreadPool pool(3, /*deterministic=*/true);
-  std::vector<int> worker(10, -1);
-  pool.parallel_for(worker.size(), [&](std::size_t i) {
+  ThreadPool pool(4);
+  std::vector<int> hits(1000, 0);
+  std::vector<int> worker(1000, -2);
+  pool.parallel_for(hits.size(), [&](std::size_t i) {
+    ++hits[i];  // each index is owned by exactly one worker
     worker[i] = ThreadPool::current_worker_id();
   });
-  // Blocks [w*count/T, (w+1)*count/T): worker ids must be non-decreasing.
-  for (std::size_t i = 1; i < worker.size(); ++i)
-    EXPECT_LE(worker[i - 1], worker[i]);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "index " << i;
+    EXPECT_GE(worker[i], 0);
+    EXPECT_LT(worker[i], 4);
+  }
+  EXPECT_EQ(ThreadPool::current_worker_id(), -1);  // off-pool thread
 }
 
 TEST(ThreadPool, DynamicStealsFromSkewedLoad) {
-  // Front-loaded work: the first chunk is ~100x the rest. Under the dynamic
-  // scheduler the idle workers must steal the remaining chunks instead of
-  // waiting at a shard boundary; every index still runs exactly once.
-  ThreadPool pool(4, /*deterministic=*/false);
+  // Front-loaded work: the first chunk is ~100x the rest. The idle workers
+  // must steal the remaining chunks instead of waiting at a shard boundary;
+  // every index still runs exactly once.
+  ThreadPool pool(4);
   std::vector<int> hits(256, 0);
   std::atomic<std::uint64_t> sink{0};
   pool.parallel_for(hits.size(), [&](std::size_t i) {
@@ -88,47 +68,39 @@ TEST(ThreadPool, DynamicStealsFromSkewedLoad) {
 TEST(ThreadPool, OversubscriptionCoversAllIndices) {
   // More workers than the host has cores (and than there are chunks):
   // stealing must terminate and cover everything exactly once.
-  for (bool deterministic : kScheduleModes) {
-    ThreadPool pool(16, deterministic);
-    std::vector<int> hits(23, 0);
-    pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-    for (int h : hits) EXPECT_EQ(h, 1) << schedule_name(deterministic);
-  }
+  ThreadPool pool(16);
+  std::vector<int> hits(23, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPool, HandlesFewerIndicesThanWorkers) {
-  for (bool deterministic : kScheduleModes) {
-    ThreadPool pool(8, deterministic);
-    std::vector<int> hits(3, 0);
-    pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-    for (int h : hits) EXPECT_EQ(h, 1) << schedule_name(deterministic);
-    pool.parallel_for(0, [&](std::size_t) { FAIL() << "no indices to run"; });
-  }
+  ThreadPool pool(8);
+  std::vector<int> hits(3, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (int h : hits) EXPECT_EQ(h, 1);
+  pool.parallel_for(0, [&](std::size_t) { FAIL() << "no indices to run"; });
 }
 
 TEST(ThreadPool, PropagatesWorkerExceptions) {
-  for (bool deterministic : kScheduleModes) {
-    ThreadPool pool(4, deterministic);
-    EXPECT_THROW(
-        pool.parallel_for(100,
-                          [&](std::size_t i) {
-                            if (i == 57)
-                              throw std::runtime_error("worker failed");
-                          }),
-        std::runtime_error)
-        << schedule_name(deterministic);
-    // The pool stays usable after an exception.
-    std::vector<int> hits(16, 0);
-    pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-    for (int h : hits) EXPECT_EQ(h, 1) << schedule_name(deterministic);
-  }
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for(100,
+                                 [&](std::size_t i) {
+                                   if (i == 57)
+                                     throw std::runtime_error("worker failed");
+                                 }),
+               std::runtime_error);
+  // The pool stays usable after an exception.
+  std::vector<int> hits(16, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPool, SubmitChainsFromJobs) {
   // submit() from inside a job is the sanctioned way to schedule
   // continuations (the pipelined engine's per-agent chains). A binary tree
   // of spawning jobs must be counted in full by one drain().
-  ThreadPool pool(4, /*deterministic=*/false);
+  ThreadPool pool(4);
   std::atomic<int> ran{0};
   std::function<void(int)> spawn = [&](int depth) {
     ran.fetch_add(1, std::memory_order_relaxed);
@@ -151,23 +123,18 @@ TEST(ThreadPool, NestedParallelForAndDrainRejected) {
   // worker would deadlock the pool, so both are rejected with a CheckError
   // (which propagates to the driver at the batch boundary). submit() from a
   // worker stays legal — that is how chains grow.
-  for (bool deterministic : kScheduleModes) {
-    ThreadPool pool(4, deterministic);
-    EXPECT_THROW(pool.parallel_for(
-                     8,
-                     [&](std::size_t) {
-                       pool.parallel_for(2, [](std::size_t) {});
-                     }),
-                 dmw::CheckError)
-        << schedule_name(deterministic);
-    pool.submit([&pool] { pool.drain(); });
-    EXPECT_THROW(pool.drain(), dmw::CheckError)
-        << schedule_name(deterministic);
-    // Usable after both rejections.
-    std::vector<int> hits(8, 0);
-    pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-    for (int h : hits) EXPECT_EQ(h, 1) << schedule_name(deterministic);
-  }
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&](std::size_t) {
+                                   pool.parallel_for(2, [](std::size_t) {});
+                                 }),
+               dmw::CheckError);
+  pool.submit([&pool] { pool.drain(); });
+  EXPECT_THROW(pool.drain(), dmw::CheckError);
+  // Usable after both rejections.
+  std::vector<int> hits(8, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 // ---- Outcome bit-identity --------------------------------------------------
@@ -223,19 +190,12 @@ TEST(ParallelProtocol, HonestRunsBitIdenticalAcrossThreadCounts) {
     ASSERT_FALSE(sequential.aborted);
     EXPECT_EQ(sequential.schedule, mech::run_minwork(instance).schedule);
 
-    for (bool deterministic : kScheduleModes) {
-      RunConfig run_config;
-      run_config.deterministic_schedule = deterministic;
-      for (std::size_t threads : kThreadCounts) {
-        const auto parallel =
-            run_parallel_dmw(params, instance, threads, run_config);
-        expect_outcomes_identical(
-            sequential, parallel,
-            "n=" + std::to_string(config.n) + " m=" +
-                std::to_string(config.m) + " threads=" +
-                std::to_string(threads) + " " +
-                schedule_name(deterministic));
-      }
+    for (std::size_t threads : kThreadCounts) {
+      const auto parallel = run_parallel_dmw(params, instance, threads);
+      expect_outcomes_identical(
+          sequential, parallel,
+          "n=" + std::to_string(config.n) + " m=" + std::to_string(config.m) +
+              " threads=" + std::to_string(threads));
     }
   }
 }
@@ -254,15 +214,9 @@ TEST(ParallelProtocol, SeedSweepMatchesSequential) {
     ProtocolRunner<Group64> sequential(params, instance, strategies, config);
     const auto reference = sequential.run();
 
-    for (bool deterministic : kScheduleModes) {
-      RunConfig run_config = config;
-      run_config.deterministic_schedule = deterministic;
-      ParallelProtocol<Group64> runner(params, instance, strategies, 4,
-                                       run_config);
-      expect_outcomes_identical(reference, runner.run(),
-                                "seed " + std::to_string(seed) + " " +
-                                    schedule_name(deterministic));
-    }
+    ParallelProtocol<Group64> runner(params, instance, strategies, 4, config);
+    expect_outcomes_identical(reference, runner.run(),
+                              "seed " + std::to_string(seed));
   }
 }
 
@@ -287,26 +241,20 @@ TEST(ParallelProtocol, DeviantAbortRecordsMatchSequential) {
     const auto reference = sequential.run();
     ASSERT_TRUE(reference.aborted) << deviant->name();
 
-    for (bool deterministic : kScheduleModes) {
-      RunConfig run_config;
-      run_config.deterministic_schedule = deterministic;
-      for (std::size_t threads : kThreadCounts) {
-        ParallelProtocol<Group64> runner(params, instance, strategies,
-                                         threads, run_config);
-        const auto parallel = runner.run();
-        expect_outcomes_identical(reference, parallel,
-                                  deviant->name() + " threads=" +
-                                      std::to_string(threads) + " " +
-                                      schedule_name(deterministic));
-        // Abort propagation: once the deviation is detected, no later-phase
-        // traffic may exist in the parallel run either.
-        const auto& winner_phase =
-            parallel.phases[static_cast<std::size_t>(Phase::kWinner)];
-        const auto& payment_phase =
-            parallel.phases[static_cast<std::size_t>(Phase::kPayments)];
-        EXPECT_EQ(winner_phase.stats.broadcast_messages, 0u);
-        EXPECT_EQ(payment_phase.stats.broadcast_messages, 0u);
-      }
+    for (std::size_t threads : kThreadCounts) {
+      ParallelProtocol<Group64> runner(params, instance, strategies, threads);
+      const auto parallel = runner.run();
+      expect_outcomes_identical(
+          reference, parallel,
+          deviant->name() + " threads=" + std::to_string(threads));
+      // Abort propagation: once the deviation is detected, no later-phase
+      // traffic may exist in the parallel run either.
+      const auto& winner_phase =
+          parallel.phases[static_cast<std::size_t>(Phase::kWinner)];
+      const auto& payment_phase =
+          parallel.phases[static_cast<std::size_t>(Phase::kPayments)];
+      EXPECT_EQ(winner_phase.stats.broadcast_messages, 0u);
+      EXPECT_EQ(payment_phase.stats.broadcast_messages, 0u);
     }
   }
 }
@@ -327,17 +275,11 @@ TEST(ParallelProtocol, CrashTolerantRunsMatchSequential) {
   const auto reference = sequential.run();
   ASSERT_FALSE(reference.aborted);
 
-  for (bool deterministic : kScheduleModes) {
-    RunConfig run_config;
-    run_config.deterministic_schedule = deterministic;
-    for (std::size_t threads : kThreadCounts) {
-      ParallelProtocol<Group64> runner(params, instance, strategies, threads,
-                                       run_config);
-      expect_outcomes_identical(reference, runner.run(),
-                                "crash-tolerant threads=" +
-                                    std::to_string(threads) + " " +
-                                    schedule_name(deterministic));
-    }
+  for (std::size_t threads : kThreadCounts) {
+    ParallelProtocol<Group64> runner(params, instance, strategies, threads);
+    expect_outcomes_identical(
+        reference, runner.run(),
+        "crash-tolerant threads=" + std::to_string(threads));
   }
 }
 
@@ -346,15 +288,8 @@ TEST(ParallelProtocol, MoreThreadsThanTasksOrAgents) {
   Xoshiro256ss rng(5);
   const auto instance = mech::make_uniform_instance(3, 1, params.bid_set(), rng);
   const auto reference = run_honest_dmw(params, instance);
-  for (bool deterministic : kScheduleModes) {
-    RunConfig run_config;
-    run_config.deterministic_schedule = deterministic;
-    const auto parallel =
-        run_parallel_dmw(params, instance, /*threads=*/8, run_config);
-    expect_outcomes_identical(reference, parallel,
-                              std::string("n=3 m=1 threads=8 ") +
-                                  schedule_name(deterministic));
-  }
+  const auto parallel = run_parallel_dmw(params, instance, /*threads=*/8);
+  expect_outcomes_identical(reference, parallel, "n=3 m=1 threads=8");
 }
 
 // ---- Shared per-agent cache publication contract ---------------------------
@@ -363,8 +298,8 @@ TEST(ParallelProtocol, MoreThreadsThanTasksOrAgents) {
 // RNG streams inside each agent) are built once and then read concurrently by
 // every worker. This test proves the publication contract two ways: the
 // tables are byte-identical before and after a multi-threaded run, and a
-// worker pool hammering reads against the same rows while a dynamic-schedule
-// protocol run is using them stays TSan-clean (any post-publication write
+// worker pool hammering reads against the same rows while a protocol run is
+// using them stays TSan-clean (any post-publication write
 // would be a data race the sanitizer job flags).
 TEST(ParallelProtocol, SharedCachesImmutableAfterPublication) {
   const auto params = PublicParams<Group64>::make(grp(), 5, 4, 1, 9);
@@ -377,16 +312,13 @@ TEST(ParallelProtocol, SharedCachesImmutableAfterPublication) {
     snapshot.push_back(params.pseudonym_powers(k));
   }
 
-  RunConfig dynamic_config;
-  dynamic_config.deterministic_schedule = false;
-
   // Concurrent-reader hammer: while the protocol run below reads the caches
   // from its own workers, this pool re-reads every row and compares against
   // the pre-run snapshot. A mutation shows up as a value mismatch here and as
   // a race under TSan.
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> mismatches{0};
-  ThreadPool readers(4, /*deterministic=*/false);
+  ThreadPool readers(4);
   for (std::size_t r = 0; r < 4; ++r) {
     readers.submit([&] {
       while (!stop.load(std::memory_order_acquire)) {
@@ -403,7 +335,7 @@ TEST(ParallelProtocol, SharedCachesImmutableAfterPublication) {
 
   const auto reference = run_honest_dmw(params, instance);
   const auto parallel =
-      run_parallel_dmw(params, instance, /*threads=*/4, dynamic_config);
+      run_parallel_dmw(params, instance, /*threads=*/4);
 
   stop.store(true, std::memory_order_release);
   readers.drain();

@@ -71,8 +71,7 @@ Dispatches on the top-level "bench" tag each emitter writes:
                   --report-out)      aborted auctions, zero one-shot identity
                                      mismatches (when the run checked them;
                                      a fresh run may not check less than the
-                                     baseline did), zero steady-state arena
-                                     slab allocations — all exact — plus
+                                     baseline did) — both exact — plus
                                      throughput >= baseline*(1-tolerance) and
                                      p50/p95/p99 latency <=
                                      baseline*(1+tolerance). max latency is
@@ -498,7 +497,7 @@ def check_serve(baseline, fresh, tolerance):
     # The report only compares apples to apples: the whole run configuration
     # is part of the identity, not something to drift past silently.
     for key in ("label", "n", "m", "c", "auctions", "warmup", "workload",
-                "arrivals", "threads", "schedule"):
+                "arrivals", "threads"):
         if baseline.get(key) != fresh.get(key):
             schema_error(f"serve config mismatch on '{key}': baseline "
                          f"{baseline.get(key)!r} vs fresh {fresh.get(key)!r}")
@@ -507,12 +506,10 @@ def check_serve(baseline, fresh, tolerance):
     compared = 0
     regressions = 0
 
-    # Exact gates: a streaming marketplace that aborts honest auctions,
-    # diverges from the one-shot engine, or allocates arena slabs in steady
-    # state is broken regardless of how fast it is.
-    exact = [("aborted_auctions", fresh.get("aborted_auctions"), 0),
-             ("arena.steady_state_slab_allocations",
-              dig(fresh, "arena.steady_state_slab_allocations"), 0)]
+    # Exact gates: a streaming marketplace that aborts honest auctions or
+    # diverges from the one-shot engine is broken regardless of how fast it
+    # is.
+    exact = [("aborted_auctions", fresh.get("aborted_auctions"), 0)]
     if baseline.get("checked_oneshot") and not fresh.get("checked_oneshot"):
         schema_error("baseline checked one-shot identity but fresh run did "
                      "not (--check-oneshot missing?)")

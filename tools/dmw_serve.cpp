@@ -4,11 +4,11 @@
 // auction requests (a workload file or a seeded generator with open-loop
 // fixed/Poisson arrivals) dispatched continuously through one persistent
 // ServeEngine — shared PublicParams (pseudonym powers + commitment tables
-// built once), one warmed ThreadPool, per-worker arenas rewound at every
-// auction boundary. Reports auctions/sec throughput and p50/p95/p99/max
-// latency, streams RunReport-over-interval snapshots through the dmwtrace
-// metrics registry, and emits a final serve-report JSON with a stable schema
-// (`"bench": "serve"`) that tools/check_bench_regression.py gates in CI.
+// built once) and one warmed ThreadPool. Reports auctions/sec throughput
+// and p50/p95/p99/max latency, streams RunReport-over-interval snapshots
+// through the dmwtrace metrics registry, and emits a final serve-report JSON
+// with a stable schema (`"bench": "serve"`) that
+// tools/check_bench_regression.py gates in CI.
 //
 // Examples:
 //   dmw_serve --n 6 --m 4 --auctions 1000 --threads 4
@@ -52,9 +52,6 @@ options:
                        the engine lags the offered load
   --rate R             arrivals per second for fixed/poisson (default 100)
   --threads T          engine workers (0 = hardware concurrency; default 1)
-  --schedule S         dynamic | static (default honours
-                       DMW_DETERMINISTIC_SCHEDULE). Outcomes and the stream
-                       digest are bit-identical either way
   --check-oneshot      re-run every auction through the sequential one-shot
                        runner and require field-identical Outcomes
   --plain              disable AEAD-sealed private channels
@@ -201,21 +198,11 @@ int run_serve(G group, const Flags& flags) {
   config.threads = flags.get_u64("threads", 1);
   config.encrypt_channels = !flags.get_bool("plain");
   config.check_oneshot = flags.get_bool("check-oneshot");
-  if (flags.has("schedule")) {
-    const std::string schedule = flags.get_string("schedule", "dynamic");
-    DMW_REQUIRE_MSG(schedule == "dynamic" || schedule == "static",
-                    "--schedule must be dynamic or static");
-    config.deterministic_schedule = schedule == "static";
-  } else {
-    config.deterministic_schedule =
-        dmw::ThreadPool::deterministic_schedule_default();
-  }
   dmw::proto::ServeEngine<G> engine(params, config);
 
   dmw::proto::LatencyRecorder latencies(total);
   std::vector<IntervalSnapshot> snapshots;
   auto counters_before = dmw::trace::counters_snapshot();
-  std::size_t arena_slabs_at_warmup = 0;
   std::int64_t steady_begin_ns = 0;
   std::int64_t interval_begin_ns = 0;
   std::uint64_t interval_first = 0;
@@ -240,7 +227,6 @@ int run_serve(G group, const Flags& flags) {
 
     const std::uint64_t done = engine.auctions();
     if (done == warmup || (warmup == 0 && done == 1)) {
-      arena_slabs_at_warmup = engine.arena_stats().slab_allocations;
       steady_begin_ns = end_ns;
       interval_begin_ns = end_ns;
       interval_first = done;
@@ -271,9 +257,6 @@ int run_serve(G group, const Flags& flags) {
   const std::int64_t t_end = tracer.now_ns();
   if (warmup == 0) steady_begin_ns = t0;
 
-  const auto arena = engine.arena_stats();
-  const std::size_t steady_slabs =
-      arena.slab_allocations - arena_slabs_at_warmup;
   const double steady_wall_s =
       static_cast<double>(t_end - steady_begin_ns) * 1e-9;
   const std::uint64_t steady_auctions = total - warmup;
@@ -302,7 +285,6 @@ int run_serve(G group, const Flags& flags) {
   w.field("arrivals", arrivals_name);
   if (arrival_mode != ArrivalProcess::Mode::kAsap) w.field("rate_hz", rate_hz);
   w.field("threads", std::uint64_t{engine.threads()});
-  w.field("schedule", config.deterministic_schedule ? "static" : "dynamic");
   w.field("hardware_concurrency",
           std::uint64_t{dmw::ThreadPool::default_thread_count()});
   w.field("auctions", total);
@@ -316,16 +298,6 @@ int run_serve(G group, const Flags& flags) {
   w.field("steady_wall_s", steady_wall_s);
   w.field("throughput_per_s", throughput);
   write_latency(w, steady_latency);
-  w.key("arena");
-  w.begin_object();
-  w.field("slots", std::uint64_t{engine.arenas().size()});
-  w.field("slab_bytes", std::uint64_t{config.arena_slab_bytes});
-  w.field("slabs", std::uint64_t{arena.slabs});
-  w.field("reserved_bytes", std::uint64_t{arena.reserved_bytes});
-  w.field("high_water_bytes", std::uint64_t{arena.high_water_bytes});
-  w.field("slab_allocations", std::uint64_t{arena.slab_allocations});
-  w.field("steady_state_slab_allocations", std::uint64_t{steady_slabs});
-  w.end_object();
   w.field("intervals", std::uint64_t{snapshots.size()});
   w.end_object();
 
@@ -367,11 +339,10 @@ int run_serve(G group, const Flags& flags) {
   if (!flags.get_bool("json")) {
     std::printf("%s\n", params.describe().c_str());
     std::printf("serve: %llu auctions (%llu warmup), %s arrivals, "
-                "%zu worker(s), %s schedule\n",
+                "%zu worker(s)\n",
                 static_cast<unsigned long long>(total),
                 static_cast<unsigned long long>(warmup),
-                arrivals_name.c_str(), engine.threads(),
-                config.deterministic_schedule ? "static" : "dynamic");
+                arrivals_name.c_str(), engine.threads());
     std::printf("throughput: %.1f auctions/s over %.3fs steady state\n",
                 throughput, steady_wall_s);
     std::printf("latency ms: mean %.3f | p50 %.3f | p95 %.3f | p99 %.3f | "
@@ -379,8 +350,6 @@ int run_serve(G group, const Flags& flags) {
                 steady_latency.mean_ms, steady_latency.p50_ms,
                 steady_latency.p95_ms, steady_latency.p99_ms,
                 steady_latency.max_ms);
-    std::printf("arena: %zu slab allocations total, %zu in steady state\n",
-                arena.slab_allocations, steady_slabs);
     std::printf("outcome digest: %s\n", engine.outcome_digest().c_str());
     if (config.check_oneshot)
       std::printf("one-shot identity: %llu mismatch(es)\n",
@@ -398,7 +367,7 @@ int main(int argc, char** argv) {
     const Flags flags(argc, argv,
                       {"n", "m", "c", "seed", "workload", "backend", "p-bits",
                        "auctions", "warmup", "workload-file", "arrivals",
-                       "rate", "threads", "schedule", "check-oneshot!",
+                       "rate", "threads", "check-oneshot!",
                        "plain!", "interval", "report-out", "snapshots-out",
                        "telemetry-out", "json!", "help!"});
     if (flags.get_bool("help")) {

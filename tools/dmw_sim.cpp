@@ -54,10 +54,6 @@ options:
                        std::thread::hardware_concurrency, logged at Info;
                        omit for the sequential runner). Outcomes are
                        bit-identical at any thread count.
-  --schedule S         parallel schedule: dynamic (pipelined work stealing,
-                       the default) | static (deterministic sharding).
-                       Default honours DMW_DETERMINISTIC_SCHEDULE; outcomes
-                       are bit-identical either way.
   --simd S             auto | on | off (default auto). Lane-grouping policy
                        for the vectorized Montgomery tier (numeric/simd.hpp):
                        auto engages when the host has a vector ISA, on
@@ -182,12 +178,6 @@ int run_simulation(G group, const Flags& flags) {
   dmw::proto::RunConfig config;
   config.secret_seed = flags.get_u64("secret-seed", config.secret_seed);
   config.encrypt_channels = !flags.get_bool("plain");
-  if (flags.has("schedule")) {
-    const std::string schedule = flags.get_string("schedule", "dynamic");
-    DMW_REQUIRE_MSG(schedule == "dynamic" || schedule == "static",
-                    "--schedule must be dynamic or static");
-    config.deterministic_schedule = schedule == "static";
-  }
   const bool parallel = flags.has("threads");
   const std::size_t threads = parallel ? flags.get_u64("threads", 0) : 0;
   dmw::proto::Outcome outcome;
@@ -308,7 +298,7 @@ int main(int argc, char** argv) {
                       {"n", "m", "c", "seed", "secret-seed", "instance-seed",
                        "workload", "backend", "p-bits",
                        "deviant", "deviator", "crash-tolerant!", "crashes",
-                       "crash-point", "threads", "schedule", "simd", "plain!",
+                       "crash-point", "threads", "simd", "plain!",
                        "json!",
                        "trace-out", "metrics-out", "trace-clock", "help!"});
     if (flags.get_bool("help")) {

@@ -1,7 +1,7 @@
 // Fixture: thread-id-sink rule. Outcomes, transcripts and reports are
-// byte-identical across thread counts and schedule modes, so no thread
-// identity (OS thread id, worker index, hardware concurrency, schedule
-// mode) may flow into a transcript hash or a report field.
+// byte-identical across thread counts, so no thread identity (OS thread
+// id, worker index, hardware concurrency) may flow into a transcript hash
+// or a report field.
 // dmwlint-fixture-path: src/dmw/thread_id_sink_fixture.cpp
 #include <cstddef>
 #include <vector>

@@ -43,7 +43,7 @@
 //                    allow comment) — keeps the capability model complete
 //                    even on compilers that ignore the attributes.
 //   thread-id-sink   no std::this_thread::get_id() anywhere, and no worker
-//                    id / schedule mode / hardware_concurrency in the same
+//                    id / hardware_concurrency in the same
 //                    statement as a transcript/report sink: outputs are
 //                    byte-identical across thread counts by contract.
 //   raw-send         a SimNetwork send()/publish() whose kind argument is a
