@@ -101,6 +101,7 @@ void BM_Sha256Throughput(benchmark::State& state) {
     benchmark::DoNotOptimize(dmw::crypto::Sha256::hash(buffer));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(dmw::crypto::sha256_backend());
 }
 BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(1024)->Arg(65536);
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "numeric/simd.hpp"  // DMW_SIMD_X86 and the vendor intrinsics
 #include "support/check.hpp"
 #include "support/hex.hpp"
 #include "support/secret.hpp"
@@ -27,7 +28,178 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+#if defined(DMW_SIMD_X86)
+// When the whole TU is already compiled for SHA-NI (-march=native on such a
+// host) the target attribute is redundant and would block inlining.
+#if defined(__SHA__) && defined(__SSE4_1__)
+#define DMW_TARGET_SHA
+#else
+#define DMW_TARGET_SHA __attribute__((target("sha,sse4.1")))
+#endif
+#endif
+
+// The compression kernels must not branch on message or state words (the
+// block count is public).
+// dmwlint: constant-time
+void process_block(Sha256::State& state, const std::uint8_t* block) {
+  std::uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (std::uint32_t{block[4 * i]} << 24) |
+           (std::uint32_t{block[4 * i + 1]} << 16) |
+           (std::uint32_t{block[4 * i + 2]} << 8) |
+           std::uint32_t{block[4 * i + 3]};
+  }
+  for (int i = 16; i < 64; ++i) {
+    const std::uint32_t s0 =
+        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    const std::uint32_t s1 =
+        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+  auto [a, b, c, d, e, f, g, h] = state;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    const std::uint32_t ch = (e & f) ^ (~e & g);
+    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    const std::uint32_t temp2 = s0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + temp1;
+    d = c;
+    c = b;
+    b = a;
+    a = temp1 + temp2;
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
 }  // namespace
+
+namespace detail {
+
+void compress_scalar(Sha256::State& state, const std::uint8_t* blocks,
+                     std::size_t n) {
+  for (; n > 0; --n, blocks += 64) process_block(state, blocks);
+}
+
+}  // namespace detail
+
+#if defined(DMW_SIMD_X86)
+namespace {
+
+// SHA-NI keeps the working variables as two vectors, ABEF and CDGH, and
+// retires two rounds per sha256rnds2. A 128-bit message group holds four
+// schedule words W[4g..4g+3], lane 0 first.
+
+/// Rounds 4g..4g+3 on message group `msg`.
+DMW_TARGET_SHA inline void rounds4(__m128i& abef, __m128i& cdgh, __m128i msg,
+                                   int g) {
+  const __m128i wk = _mm_add_epi32(
+      msg, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+               kRoundConstants.data() + 4 * g)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+/// Message group g from groups g-4 .. g-1:
+/// W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+DMW_TARGET_SHA inline __m128i next_group(__m128i g4, __m128i g3, __m128i g2,
+                                         __m128i g1) {
+  const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(g4, g3),
+                                        _mm_alignr_epi8(g1, g2, 4));
+  return _mm_sha256msg2_epu32(partial, g1);
+}
+
+DMW_TARGET_SHA void compress_sha_ni(Sha256::State& state,
+                                    const std::uint8_t* blocks,
+                                    std::size_t n) {
+  // Big-endian message words: byte-swap each 32-bit lane.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  auto* words = reinterpret_cast<__m128i*>(state.data());
+  const __m128i dcba = _mm_shuffle_epi32(_mm_loadu_si128(words), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(words + 1), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xF0);
+  for (; n > 0; --n, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const auto* in = reinterpret_cast<const __m128i*>(blocks);
+    __m128i m0 = _mm_shuffle_epi8(_mm_loadu_si128(in), bswap);
+    __m128i m1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap);
+    __m128i m2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap);
+    __m128i m3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap);
+    rounds4(abef, cdgh, m0, 0);
+    rounds4(abef, cdgh, m1, 1);
+    rounds4(abef, cdgh, m2, 2);
+    rounds4(abef, cdgh, m3, 3);
+    for (int g = 4; g < 16; g += 4) {
+      m0 = next_group(m0, m1, m2, m3);
+      rounds4(abef, cdgh, m0, g);
+      m1 = next_group(m1, m2, m3, m0);
+      rounds4(abef, cdgh, m1, g + 1);
+      m2 = next_group(m2, m3, m0, m1);
+      rounds4(abef, cdgh, m2, g + 2);
+      m3 = next_group(m3, m0, m1, m2);
+      rounds4(abef, cdgh, m3, g + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(words, _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(words + 1, _mm_alignr_epi8(dchg, feba, 8));
+}
+
+}  // namespace
+#endif  // DMW_SIMD_X86
+// dmwlint: end-constant-time
+
+namespace detail {
+
+CompressFn sha_ni_kernel() {
+#if defined(DMW_SIMD_X86)
+  // This may run inside another static initializer, before libgcc's own
+  // constructor has filled in the CPU model.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1"))
+    return &compress_sha_ni;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// The compression entry point: the SHA-NI kernel when the CPU has it,
+/// else the scalar reference, resolved once per process. The branch is on
+/// a public CPU flag.
+void compress(Sha256::State& state, const std::uint8_t* blocks,
+              std::size_t n) {
+  static const detail::CompressFn kernel = [] {
+    const detail::CompressFn hardware = detail::sha_ni_kernel();
+    return hardware != nullptr ? hardware : &detail::compress_scalar;
+  }();
+  kernel(state, blocks, n);
+}
+
+}  // namespace
+
+const char* sha256_backend() {
+  return detail::sha_ni_kernel() ? "sha-ni" : "scalar";
+}
 
 void Sha256::reset() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -61,13 +233,16 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffered_ += take;
     offset = take;
     if (buffered_ == 64) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // The whole-block run goes to one call, so the kernel keeps the chaining
+  // value in registers across blocks.
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(state_, data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -100,52 +275,6 @@ Digest256 Sha256::finish() {
   }
   return out;
 }
-
-// The compression function must not branch on message or state words
-// (lengths handled by the callers above are public).
-// dmwlint: constant-time
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t{block[4 * i]} << 24) |
-           (std::uint32_t{block[4 * i + 1]} << 16) |
-           (std::uint32_t{block[4 * i + 2]} << 8) |
-           std::uint32_t{block[4 * i + 3]};
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-// dmwlint: end-constant-time
 
 std::string digest_hex(const Digest256& digest) {
   return dmw::to_hex(std::span<const std::uint8_t>(digest));

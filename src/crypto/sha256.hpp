@@ -2,9 +2,17 @@
 //
 // Used for pseudonym derivation, deterministic per-task seed expansion
 // (via HMAC/HKDF), the AEAD tag and the protocol audit transcript.
+//
+// Two compression kernels share one contract (bit-identical chaining
+// values): the portable scalar routine, which is the reference and the
+// fallback, and an x86 SHA-extensions (SHA-NI) kernel, compiled only when
+// DMW_SIMD is on and installed only when the running CPU has the
+// extensions. The choice is made once per process; sha256_backend() names
+// it so a timing can say which kernel produced it.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -51,8 +59,6 @@ class Sha256 {
   }
 
  private:
-  void process_block(const std::uint8_t* block);
-
   State state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;
@@ -61,6 +67,26 @@ class Sha256 {
 };
 
 std::string digest_hex(const Digest256& digest);
+
+/// The compression kernel this process runs: "sha-ni" or "scalar".
+const char* sha256_backend();
+
+namespace detail {
+
+/// Compress `n` consecutive 64-byte blocks into `state` (FIPS 180-4 §6.2.2).
+using CompressFn = void (*)(Sha256::State& state, const std::uint8_t* blocks,
+                            std::size_t n);
+
+/// The portable kernel: the reference every other kernel must match, and
+/// the fallback on every host.
+void compress_scalar(Sha256::State& state, const std::uint8_t* blocks,
+                     std::size_t n);
+
+/// The SHA-NI kernel, or nullptr when this build compiled no x86 SIMD code
+/// or this CPU lacks the SHA extensions.
+CompressFn sha_ni_kernel();
+
+}  // namespace detail
 
 /// HMAC-SHA256 keyed once (RFC 2104 §4): holds the compression midstates
 /// after the ipad and opad blocks, so each MAC costs only the message

@@ -32,7 +32,9 @@
 // (opcount.hpp) already credits one `mul` per lane-slot either way.
 //
 // This is the only file in the tree allowed to include vendor intrinsic
-// headers; dmwlint's include-hygiene rule enforces the confinement.
+// headers; dmwlint's include-hygiene rule enforces the confinement. The
+// SHA-NI compression kernel in crypto/sha256.cpp takes the intrinsics and
+// the DMW_SIMD_X86 guard from here.
 #pragma once
 
 #include <cstddef>

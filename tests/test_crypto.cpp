@@ -2,6 +2,7 @@
 // deterministic CSPRNG and the protocol transcript.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "crypto/transcript.hpp"
 #include "support/check.hpp"
 #include "support/hex.hpp"
+#include "support/rng.hpp"
 
 namespace dmw::crypto {
 namespace {
@@ -171,6 +173,61 @@ TEST(Sha256, ResumeFromMidstateContinuesTheHash) {
   Sha256 partial;
   partial.update(all.first(10));
   EXPECT_THROW((void)partial.midstate(), dmw::CheckError);
+}
+
+// The initial hash value (FIPS 180-4 §5.3.3).
+constexpr Sha256::State kSha256Iv = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                     0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                     0x1f83d9ab, 0x5be0cd19};
+
+TEST(Sha256, ScalarKernelMatchesFips180Abc) {
+  // The padded one-block message "abc" compressed from the IV is the
+  // digest, whichever kernel this host dispatches to.
+  std::array<std::uint8_t, 64> block{'a', 'b', 'c', 0x80};
+  block[63] = 24;  // bit length
+  Sha256::State state = kSha256Iv;
+  detail::compress_scalar(state, block.data(), 1);
+  EXPECT_EQ(state, (Sha256::State{0xba7816bf, 0x8f01cfea, 0x414140de,
+                                  0x5dae2223, 0xb00361a3, 0x96177a9c,
+                                  0xb410ff61, 0xf20015ad}));
+}
+
+TEST(Sha256, HardwareKernelMatchesScalar) {
+  const detail::CompressFn hardware = detail::sha_ni_kernel();
+  if (hardware == nullptr)
+    GTEST_SKIP() << "no SHA-NI kernel in this build or on this CPU";
+  EXPECT_STREQ(sha256_backend(), "sha-ni");
+  Xoshiro256ss rng(20260418);
+  std::array<std::uint8_t, 8 * 64> blocks;
+  for (int trial = 0; trial < 10000; ++trial) {
+    Sha256::State start;
+    for (auto& word : start) word = static_cast<std::uint32_t>(rng.next());
+    for (auto& byte : blocks) byte = static_cast<std::uint8_t>(rng.next());
+    const std::size_t n = 1 + rng.below(8);
+    Sha256::State expected = start;
+    detail::compress_scalar(expected, blocks.data(), n);
+    Sha256::State got = start;
+    hardware(got, blocks.data(), n);
+    ASSERT_EQ(got, expected) << "trial " << trial << ", " << n << " blocks";
+  }
+}
+
+TEST(Sha256, EverySplitMatchesOneShot) {
+  // Two updates split anywhere: the first may leave a partial block
+  // buffered, the second then completes it and runs the whole-block rest.
+  std::vector<std::uint8_t> message(300);
+  for (std::size_t i = 0; i < message.size(); ++i)
+    message[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  for (std::size_t len = 0; len <= message.size(); ++len) {
+    const std::span<const std::uint8_t> all(message.data(), len);
+    const Digest256 expected = Sha256::hash(all);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      Sha256 h;
+      h.update(all.first(cut));
+      h.update(all.subspan(cut));
+      ASSERT_EQ(h.finish(), expected) << len << " split at " << cut;
+    }
+  }
 }
 
 TEST(Hkdf, LengthControl) {

@@ -16,7 +16,8 @@
 // measuring machine actually dispatched: on a host with no vector unit
 // kAuto degenerates to the scalar path and pow_batch_speedup is honestly
 // ~1.0x, which is why check_bench_regression.py skips the hand-added
-// absolute lane floors whenever simd.backend == "scalar".
+// absolute lane floors whenever simd.backend == "scalar". `sha256_backend`
+// beside it names the SHA-256 compression kernel ("sha-ni" or "scalar").
 //
 // Usage: bench_json [--out FILE] [--quick] [--stdout]
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "numeric/group.hpp"
 #include "numeric/multiexp.hpp"
 #include "numeric/simd.hpp"
@@ -205,6 +207,7 @@ int main(int argc, char** argv) try {
       dmw::num::simd::backend_name(dmw::num::simd::active_backend()));
   json.key("lanes").value(std::uint64_t{dmw::num::simd::kLanes});
   json.end_object();
+  json.key("sha256_backend").value(dmw::crypto::sha256_backend());
   json.key("group64").begin_object();
   json.key("group").value(g64.describe());
   bench_backend(json, g64, /*multiexp_len=*/16, sink);

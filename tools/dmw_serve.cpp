@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "dmw/serve.hpp"
 #include "support/flags.hpp"
 #include "support/json.hpp"
@@ -287,6 +288,7 @@ int run_serve(G group, const Flags& flags) {
   w.field("threads", std::uint64_t{engine.threads()});
   w.field("hardware_concurrency",
           std::uint64_t{dmw::ThreadPool::default_thread_count()});
+  w.field("sha256_backend", dmw::crypto::sha256_backend());
   w.field("auctions", total);
   w.field("warmup", warmup);
   w.field("aborted_auctions", engine.aborted());
