@@ -10,7 +10,10 @@
 //    RLC batch verification produces), locating the real crossover the
 //    multi_pow dispatch models (numeric/pippenger.hpp).
 //
-// 4. The lane engine vs the scalar ladder on batched independent pows (the
+// 4. The protocol's own call shapes at n = 12, on Group64 and Group256:
+//    the Eq. (12) prefix-probe sweep and the III.1 RLC batch product.
+//
+// 5. The lane engine vs the scalar ladder on batched independent pows (the
 //    Phase III share-verify shape) — the scalar-vs-lane ns/op curve the CI
 //    simd-ablation artifact records. Both paths compute bit-identical
 //    values with identical OpCounts (numeric/montlane.hpp contract); wall
@@ -192,6 +195,124 @@ BENCHMARK(BM_MultiPowDispatch)
     ->Range(16, 1024)
     ->Complexity();
 
+// ---- the protocol's call shapes -----------------------------------------
+//
+// At n = 12 (sigma = 12) two shapes carry Phase III's multi-exponentiation
+// time. Degree resolution (paper Eq. (12), resolve_degree_in_exponent)
+// probes the prefixes s = 1..12 of the Lambda vector, one multi_pow each,
+// with Lagrange coefficients rho as exponents (uniform scalars: 40 bits on
+// Group64, 160 on the Group256 fixture). The III.1 RLC batch settles
+// 3 * n * sigma = 432 bases in one product, past the Pippenger crossover;
+// its Straus and Pippenger rows show what the dispatch chooses between.
+// Each iteration takes the next of kShapeSets pre-drawn exponent vectors,
+// so consecutive iterations never repeat an input.
+
+using dmw::num::Group256;
+
+constexpr std::size_t kProbeN = 12;
+constexpr std::size_t kRlcBases = 3 * 12 * 12;
+constexpr std::size_t kShapeSets = 16;
+
+const Group256& shape_group256() {
+  static const Group256 g = [] {
+    dmw::Xoshiro256ss rng(1);
+    // The bench_json fixture: 250-bit p, 160-bit q.
+    return Group256::generate(250, 160, rng);
+  }();
+  return g;
+}
+
+template <class G>
+struct ShapeFixture {
+  const G& g;
+  std::vector<typename G::Elem> bases;
+  std::vector<std::vector<typename G::Scalar>> exps;  // kShapeSets vectors
+
+  ShapeFixture(const G& group, std::size_t len) : g(group) {
+    auto rng = dmw::crypto::ChaChaRng::from_seed(len);
+    for (std::size_t i = 0; i < len; ++i)
+      bases.push_back(g.pow(g.z1(), g.random_nonzero_scalar(rng)));
+    exps.resize(kShapeSets);
+    for (auto& v : exps)
+      for (std::size_t i = 0; i < len; ++i)
+        v.push_back(g.random_nonzero_scalar(rng));
+  }
+};
+
+template <class G>
+void probe_sweep(benchmark::State& state, const G& g) {
+  const ShapeFixture<G> fx(g, kProbeN);
+  std::size_t set = 0;
+  for (auto _ : state) {
+    const auto& rho = fx.exps[set++ % kShapeSets];
+    for (std::size_t s = 1; s <= kProbeN; ++s) {
+      benchmark::DoNotOptimize(dmw::num::multi_pow<G>(
+          g, std::span<const typename G::Elem>(fx.bases.data(), s),
+          std::span<const typename G::Scalar>(rho.data(), s)));
+    }
+  }
+}
+
+void BM_DegreeProbeSweep64(benchmark::State& state) {
+  probe_sweep(state, Group64::test_group());
+}
+BENCHMARK(BM_DegreeProbeSweep64);
+
+void BM_DegreeProbeSweep256(benchmark::State& state) {
+  probe_sweep(state, shape_group256());
+}
+BENCHMARK(BM_DegreeProbeSweep256);
+
+enum class Engine { kDispatch, kStraus, kPippenger };
+
+template <class G>
+void rlc_batch(benchmark::State& state, const G& g, Engine engine) {
+  const ShapeFixture<G> fx(g, kRlcBases);
+  const std::span<const typename G::Elem> bases(fx.bases);
+  std::size_t set = 0;
+  for (auto _ : state) {
+    const std::span<const typename G::Scalar> exps(fx.exps[set++ % kShapeSets]);
+    switch (engine) {
+      case Engine::kDispatch:
+        benchmark::DoNotOptimize(dmw::num::multi_pow<G>(g, bases, exps));
+        break;
+      case Engine::kStraus:
+        benchmark::DoNotOptimize(dmw::num::multi_pow_straus<G>(g, bases, exps));
+        break;
+      case Engine::kPippenger:
+        benchmark::DoNotOptimize(
+            dmw::num::multi_pow_pippenger<G>(g, bases, exps));
+        break;
+    }
+  }
+}
+
+void BM_RlcBatch64(benchmark::State& state) {
+  rlc_batch(state, Group64::test_group(), Engine::kDispatch);
+}
+BENCHMARK(BM_RlcBatch64);
+void BM_RlcBatchStraus64(benchmark::State& state) {
+  rlc_batch(state, Group64::test_group(), Engine::kStraus);
+}
+BENCHMARK(BM_RlcBatchStraus64);
+void BM_RlcBatchPippenger64(benchmark::State& state) {
+  rlc_batch(state, Group64::test_group(), Engine::kPippenger);
+}
+BENCHMARK(BM_RlcBatchPippenger64);
+
+void BM_RlcBatch256(benchmark::State& state) {
+  rlc_batch(state, shape_group256(), Engine::kDispatch);
+}
+BENCHMARK(BM_RlcBatch256);
+void BM_RlcBatchStraus256(benchmark::State& state) {
+  rlc_batch(state, shape_group256(), Engine::kStraus);
+}
+BENCHMARK(BM_RlcBatchStraus256);
+void BM_RlcBatchPippenger256(benchmark::State& state) {
+  rlc_batch(state, shape_group256(), Engine::kPippenger);
+}
+BENCHMARK(BM_RlcBatchPippenger256);
+
 // ---- lane engine vs scalar ladder on batched independent pows --------------
 //
 // multi_pow_batched is the batched counterpart of calling g.pow in a loop:
@@ -200,8 +321,6 @@ BENCHMARK(BM_MultiPowDispatch)
 // the batch grows past kLanes (ragged tails shrink relative to the body).
 // The SetLabel records which kernel this host actually dispatched so the
 // uploaded artifact is self-describing.
-
-using dmw::num::Group256;
 
 template <class G>
 void pow_batched_sweep(benchmark::State& state, const G& proto,

@@ -30,13 +30,14 @@
 // to attribute the failure, so AbortReason records are byte-identical to
 // the one-at-a-time ablation (see DESIGN.md "Batch verification").
 //
-// Vectorized tier: the two settling multi-exponentiations ride the lane
-// engine (numeric/montlane.hpp) transparently — multi_pow's table build and
-// Pippenger's bucket accumulation group independent multiplications
-// kLanes at a time whenever the group's SimdMode (PublicParams::set_simd)
-// engages. The grouped schedule performs the same counted multiplications
-// in the same per-accumulator order, so verify() results, abort streams and
-// OpCounts are bit-identical across SimdMode settings.
+// Vectorized tier: the two settling multi-exponentiations touch the lane
+// engine (numeric/montlane.hpp) only where every slot does real work — the
+// Straus table build and Pippenger's domain conversions group independent
+// multiplications kLanes at a time whenever the group's SimdMode
+// (PublicParams::set_simd) engages; the digit schedule and the bucket
+// accumulation are scalar loops. The grouped steps perform the same counted
+// multiplications, so verify() results, abort streams and OpCounts are
+// bit-identical across SimdMode settings.
 #pragma once
 
 #include <span>

@@ -110,43 +110,30 @@ constexpr unsigned multiexp_window_bits(unsigned exp_bits) {
 
 // ---- sliding-window decomposition ------------------------------------------
 
-/// One digit of a sliding-window decomposition: e = sum value_t * 2^{pos_t}
-/// with every value odd and < 2^w. Greedy LSB-anchored scan, so consecutive
-/// digits are separated by at least w zero bits on average.
-struct WindowDigit {
-  unsigned pos = 0;
-  unsigned value = 0;  ///< odd, in [1, 2^w)
-};
-
-/// Appends the decomposition of e (ascending pos) to `out`. Scans 64 bits
-/// at a time: zero runs skip by whole words, set bits locate via countr_zero,
-/// and the digit value reads straight out of the extracted word — the
-/// LSB-anchored greedy structure (odd digits, trailing set bit) is unchanged
-/// from the per-bit formulation.
-template <class S>
-void decompose_windows(const S& e, unsigned w, std::vector<WindowDigit>& out) {
+/// Sliding-window decomposition e = sum value_t * 2^{pos_t}, every value odd
+/// and < 2^w: calls visit(pos, value) for each digit, ascending pos. Greedy
+/// LSB-anchored scan, so consecutive digits start >= w bits apart. Scans 64
+/// bits at a time: zero runs skip by whole words and set bits locate via
+/// countr_zero. The digit anchored at set bit i is the w bits from i,
+/// trimmed to end on a set bit so the value is odd; bits past the top of e
+/// read as zero, so the trimmed value is just `word & (2^w - 1)` and its
+/// length bit_width(value) (w <= 16 < 64, so `word` covers it).
+template <class S, class Visit>
+void for_each_window_digit(const S& e, unsigned w, Visit&& visit) {
   const unsigned bits = exp_bit_length(e);
+  const u64 mask = (u64{1} << w) - 1;
   unsigned i = 0;
   while (i < bits) {
-    u64 word = exp_word64_at(e, i);
+    const u64 word = exp_word64_at(e, i);
     if (word == 0) {
       i += 64;
       continue;
     }
     const unsigned skip = static_cast<unsigned>(std::countr_zero(word));
     i += skip;
-    word >>= skip;
-    // Digit anchored at the set bit i: up to w bits, trimmed to end on a
-    // set bit so the value is odd (w <= 16 < 64, so `word` covers it).
-    unsigned len = w;
-    if (i + len > bits) len = bits - i;
-    unsigned val = static_cast<unsigned>(word & ((u64{1} << len) - 1));
-    while ((val >> (len - 1)) == 0) {
-      --len;
-      val &= (1u << len) - 1;
-    }
-    out.push_back(WindowDigit{i, val});
-    i += len;
+    const auto val = static_cast<unsigned>((word >> skip) & mask);
+    visit(i, val);
+    i += static_cast<unsigned>(std::bit_width(val));
   }
 }
 
@@ -176,7 +163,7 @@ std::vector<typename Ops::Dom> odd_power_table(const Ops& ops,
 inline constexpr unsigned kPowWindowMax = 6;
 
 /// base^e in the domain, left-to-right sliding window (MSB-anchored scan,
-/// same odd-digit structure as decompose_windows). `window = 0` picks the
+/// same odd-digit structure as for_each_window_digit). `window = 0` picks the
 /// width from the exponent length.
 template <DomainOps Ops, class S>
 typename Ops::Dom pow_window(const Ops& ops, const typename Ops::Dom& base,

@@ -73,9 +73,4 @@ u64 gcd_u64(u64 a, u64 b) {
   return a;
 }
 
-OpCounts& op_counts() {
-  thread_local OpCounts counts;
-  return counts;
-}
-
 }  // namespace dmw::num

@@ -172,10 +172,10 @@ class MontLane<Mont64, L> {
   template <class S>
   void pow_group(const u64* base, const S* e, u64* out,
                  std::size_t cnt) const {
-    // One op_counts() resolution for the whole group: the accessor is an
-    // out-of-line thread_local lookup, and the ladder below credits up to
-    // 2L muls per round — calling it per credit dominated the grouped
-    // path's runtime. The batched total is exactly the per-increment total.
+    // One op_counts() reference for the whole group: the ladder below
+    // credits up to 2L muls per round through it instead of re-resolving
+    // the thread_local per credit. The batched total is exactly the
+    // per-increment total.
     OpCounts& oc = op_counts();
     oc.pow += cnt;
     if (!grouped_) {

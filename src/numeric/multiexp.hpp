@@ -25,15 +25,16 @@
 // multi_pow_straus() pins the interleaving for benches and ablations.
 //
 // Thread-sharing contract: a MultiExpCache (and CommitmentEvalCache built on
-// it) is immutable after construction; eval() is const and touches no
-// mutable state. The parallel protocol driver keeps each cache local to the
-// per-task step that built it — one worker, one task, one cache — so the
-// PR-1 caches never serialize workers; sharing a built cache read-only
-// across threads is also safe.
+// it) is immutable after construction; eval() is const and its only
+// scratch (the digit schedule) is thread_local. The parallel protocol
+// driver keeps each cache local to the per-task step that built it — one
+// worker, one task, one cache — so the caches never serialize workers;
+// sharing a built cache read-only across threads is also safe.
 #pragma once
 
 #include <algorithm>
 #include <span>
+#include <vector>
 
 #include "numeric/group.hpp"
 #include "numeric/groupdom.hpp"
@@ -88,44 +89,38 @@ class MultiExpCache {
     for (const auto& e : exponents)
       max_bits = std::max(max_bits, scalar_bit_length(g, e));
     if (max_bits == 0) return g.identity();
-    // Decompose every exponent into sliding-window digits, bucket them by
-    // descending bit position with one counting pass, and run one shared
-    // squaring chain. Counting beats comparison sorting here because a long
-    // product (an RLC verification batch folds thousands of digits) spends
-    // more time ordering the schedule than multiplying; positions are small
-    // integers (< max_bits), so placement is two linear passes.
-    std::vector<u64> packed;  // pos << 32 | flat table index, per digit
-    packed.reserve(count_ * (max_bits / (window_ + 1) + 1));
-    std::vector<WindowDigit> digits;
+    // Each sliding-window digit goes straight onto the list of its bit
+    // position: head[b] starts a chain, threaded through `link`, of the
+    // table entries whose digit sits at bit b. The shared squaring chain
+    // then walks b downward and multiplies in each position's list. The
+    // order within one position is free (the product commutes), so the
+    // schedule needs no sort. Digits of one exponent lie >= w bits apart,
+    // which bounds the lists; the scratch is per thread and only grows, so
+    // a warm eval allocates nothing and the cache itself stays immutable.
+    constexpr unsigned kEnd = ~0u;
+    const std::size_t max_digits =
+        count_ * ((max_bits + window_ - 1) / window_);
+    thread_local std::vector<unsigned> scratch;
+    if (scratch.size() < max_bits + 2 * max_digits)
+      scratch.resize(max_bits + 2 * max_digits);
+    unsigned* head = scratch.data();
+    unsigned* link = head + max_bits;  // (table index, next) per digit
+    std::fill(head, head + max_bits, kEnd);
+    unsigned used = 0;
     for (std::size_t j = 0; j < count_; ++j) {
-      digits.clear();
-      decompose_windows(exponents[j], window_, digits);
-      for (const WindowDigit& d : digits)
-        packed.push_back((static_cast<u64>(d.pos) << 32) |
-                         (j * stride_ + (d.value - 1) / 2));
+      const auto first = static_cast<unsigned>(j * stride_);
+      for_each_window_digit(exponents[j], window_,
+                            [&](unsigned pos, unsigned value) {
+                              link[2 * used] = first + (value - 1) / 2;
+                              link[2 * used + 1] = head[pos];
+                              head[pos] = used++;
+                            });
     }
-    std::vector<unsigned> count_at(max_bits, 0);
-    for (u64 pd : packed) ++count_at[pd >> 32];
-    // slot[p] = number of digits at strictly higher positions (descending
-    // placement order); the placement loop advances each slot through its
-    // position's slice.
-    std::vector<unsigned> slot(max_bits, 0);
-    {
-      unsigned run = 0;
-      for (unsigned b = max_bits; b-- > 0;) {
-        slot[b] = run;
-        run += count_at[b];
-      }
-    }
-    std::vector<unsigned> ordered(packed.size());
-    for (u64 pd : packed)
-      ordered[slot[pd >> 32]++] = static_cast<unsigned>(pd);
-    std::size_t next = 0;
     typename G::Dom acc = ops_.one();
     for (unsigned b = max_bits; b-- > 0;) {
       if (b + 1 < max_bits) acc = ops_.mul(acc, acc);
-      for (unsigned t = 0; t < count_at[b]; ++t)
-        acc = ops_.mul(acc, table_[ordered[next++]]);
+      for (unsigned d = head[b]; d != kEnd; d = link[2 * d + 1])
+        acc = ops_.mul(acc, table_[link[2 * d]]);
     }
     return g.from_dom(acc);
   }

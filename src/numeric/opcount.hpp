@@ -71,8 +71,13 @@ struct OpCounts {
 /// (or tear) a shared counter; the parallel driver snapshots each worker's
 /// delta with OpCountScope inside the job and merges the deltas at the stage
 /// barrier. Single-threaded callers see the historical process-wide
-/// behaviour unchanged.
-OpCounts& op_counts();
+/// behaviour unchanged. Inline, so every counted multiplication inlines
+/// into its loop with the counter bump (OpCounts is constant-initialized:
+/// the thread_local needs no first-use guard).
+inline OpCounts& op_counts() {
+  thread_local OpCounts counts;
+  return counts;
+}
 
 /// RAII scope that measures the ops executed within it.
 class OpCountScope {

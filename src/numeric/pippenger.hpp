@@ -21,11 +21,9 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "numeric/groupdom.hpp"
@@ -119,48 +117,21 @@ typename G::Elem multi_pow_pippenger(
   // Bases enter the multiplicative domain once, up front — lane-grouped
   // when the group's SimdMode engages (independent conversions, identical
   // values and OpCounts either way).
-  const bool use_lanes = lanes_profitable(g, bases.size());
-  const auto lane = make_lane_engine(g);
-  constexpr std::size_t kL = std::remove_cvref_t<decltype(lane)>::kLanes;
   std::vector<typename G::Dom> dom(bases.size());
-  if (use_lanes) {
-    lane.to_mont_lanes(bases.data(), dom.data(), bases.size());
+  if (lanes_profitable(g, bases.size())) {
+    make_lane_engine(g).to_mont_lanes(bases.data(), dom.data(), bases.size());
   } else {
     for (std::size_t j = 0; j < bases.size(); ++j) dom[j] = g.to_dom(bases[j]);
   }
 
   // Buckets for digit values 1..2^c-1; a presence mask avoids spending
-  // identity multiplications on empty buckets.
+  // identity multiplications on empty buckets. The accumulation is one
+  // scalar loop: each multiplication depends on its bucket's previous
+  // value, and gathering independent ones into lane groups cost more in
+  // bookkeeping than the kernels saved.
   const std::size_t bucket_count = (std::size_t(1) << c) - 1;
   std::vector<typename G::Dom> bucket(bucket_count);
   std::vector<char> filled(bucket_count, 0);
-
-  // Pending bucket multiplications for the lane engine: accumulations into
-  // *distinct* buckets are independent, so up to kLanes of them retire as
-  // one masked lane group. A second hit on a pending bucket flushes first,
-  // preserving each bucket's accumulation order — the grouped schedule
-  // performs the same multiset of multiplications in the same per-bucket
-  // order as the scalar loop, so values and OpCounts are identical.
-  std::array<std::size_t, kL> pend_bucket{};
-  std::array<std::size_t, kL> pend_base{};
-  std::size_t npend = 0;
-  const auto flush = [&]() {
-    if (npend == 0) return;
-    typename G::Dom a[kL], b[kL];
-    bool active[kL] = {};
-    for (std::size_t k = 0; k < npend; ++k) {
-      a[k] = bucket[pend_bucket[k]];
-      b[k] = dom[pend_base[k]];
-      active[k] = true;
-    }
-    for (std::size_t k = npend; k < kL; ++k) {
-      a[k] = a[0];
-      b[k] = b[0];
-    }
-    lane.mul_masked(a, b, active);
-    for (std::size_t k = 0; k < npend; ++k) bucket[pend_bucket[k]] = a[k];
-    npend = 0;
-  };
 
   const unsigned rounds = (max_bits + c - 1) / c;
   typename G::Dom acc{};
@@ -174,25 +145,12 @@ typename G::Elem multi_pow_pippenger(
       const unsigned d = exp_window(exponents[j], r * c, c);
       if (d == 0) continue;
       if (filled[d - 1]) {
-        if (use_lanes) {
-          for (std::size_t k = 0; k < npend; ++k) {
-            if (pend_bucket[k] == d - 1) {
-              flush();
-              break;
-            }
-          }
-          pend_bucket[npend] = d - 1;
-          pend_base[npend] = j;
-          if (++npend == kL) flush();
-        } else {
-          bucket[d - 1] = ops.mul(bucket[d - 1], dom[j]);
-        }
+        bucket[d - 1] = ops.mul(bucket[d - 1], dom[j]);
       } else {
         bucket[d - 1] = dom[j];
         filled[d - 1] = 1;
       }
     }
-    flush();
     // sum_d d * bucket_d by suffix products: scanning d downward, `running`
     // holds prod_{d' >= d} bucket_{d'} and is folded into `sum` once per
     // level, so bucket_d ends up counted exactly d times.

@@ -32,20 +32,19 @@ TEST(ExpWin, DecompositionReconstructsExponent) {
   for (unsigned w = 1; w <= 6; ++w) {
     for (int trial = 0; trial < 50; ++trial) {
       const u64 e = rng.next() >> (trial % 40);
-      std::vector<WindowDigit> digits;
-      decompose_windows(e, w, digits);
       u64 reconstructed = 0;
       unsigned prev_end = 0;
-      for (std::size_t t = 0; t < digits.size(); ++t) {
-        const auto& d = digits[t];
-        EXPECT_EQ(d.value % 2, 1u) << "digits must be odd";
-        EXPECT_LT(d.value, 1u << w);
-        if (t > 0) {
-          EXPECT_GE(d.pos, prev_end) << "digits must not overlap";
+      bool first = true;
+      for_each_window_digit(e, w, [&](unsigned pos, unsigned value) {
+        EXPECT_EQ(value % 2, 1u) << "digits must be odd";
+        EXPECT_LT(value, 1u << w);
+        if (!first) {
+          EXPECT_GE(pos, prev_end) << "digits must not overlap";
         }
-        prev_end = d.pos + w;
-        reconstructed += static_cast<u64>(d.value) << d.pos;
-      }
+        first = false;
+        prev_end = pos + w;
+        reconstructed += static_cast<u64>(value) << pos;
+      });
       EXPECT_EQ(reconstructed, e);
     }
   }

@@ -5,6 +5,7 @@
 
 #include "numeric/multiexp.hpp"
 #include "numeric/pippenger.hpp"
+#include "shaped_exponents.hpp"
 
 namespace dmw::num {
 namespace {
@@ -20,32 +21,24 @@ random_product64(const Group64& g, std::size_t len, Xoshiro256ss& rng) {
   return {std::move(bases), std::move(exps)};
 }
 
-TEST(Pippenger, MatchesNaiveOnGroup64) {
-  const Group64& g = Group64::test_group();
-  Xoshiro256ss rng(11);
-  for (std::size_t len : {1u, 2u, 3u, 7u, 17u, 64u, 129u}) {
-    auto [bases, exps] = random_product64(g, len, rng);
-    EXPECT_EQ(multi_pow_pippenger<Group64>(g, bases, exps),
-              multi_pow_naive<Group64>(g, bases, exps))
+template <GroupBackend G>
+void pippenger_differential(const G& g, std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  for (const std::size_t len : multiexp_test::differential_lengths()) {
+    const auto [bases, exps] = multiexp_test::shaped_product(g, len, rng);
+    EXPECT_EQ(multi_pow_pippenger<G>(g, bases, exps),
+              multi_pow_naive<G>(g, bases, exps))
         << "len=" << len;
   }
 }
 
+TEST(Pippenger, MatchesNaiveOnGroup64) {
+  pippenger_differential(Group64::test_group(), 11);
+}
+
 TEST(Pippenger, MatchesNaiveOnGroup256) {
   Xoshiro256ss grng(12);
-  const Group256 g = Group256::generate(96, 64, grng);
-  Xoshiro256ss rng(13);
-  for (std::size_t len : {1u, 5u, 23u}) {
-    std::vector<Group256::Elem> bases;
-    std::vector<Group256::Scalar> exps;
-    for (std::size_t i = 0; i < len; ++i) {
-      bases.push_back(g.pow(g.z1(), g.random_scalar(rng)));
-      exps.push_back(g.random_scalar(rng));
-    }
-    EXPECT_EQ(multi_pow_pippenger<Group256>(g, bases, exps),
-              multi_pow_naive<Group256>(g, bases, exps))
-        << "len=" << len;
-  }
+  pippenger_differential(Group256::generate(96, 64, grng), 13);
 }
 
 TEST(Pippenger, AllWindowsAgree) {
@@ -116,6 +109,50 @@ TEST(Pippenger, FewerOpsThanStrausPastCrossover) {
   // Both engines honour the op-count contract, so the crossover claim is
   // checkable in counted multiplications, not just wall time.
   EXPECT_LT(bucket.mul, straus.mul);
+}
+
+// ---- golden op counts -------------------------------------------------------
+//
+// Recorded on the lane-grouped bucket queue: the scalar bucket loop
+// performs exactly the same multiplications.
+
+/// The bucket method at the model's window and at a fixed c = 4.
+template <GroupBackend G>
+void expect_golden_pippenger(const G& g, std::uint64_t seed,
+                             const std::vector<std::size_t>& lens,
+                             const std::vector<OpCounts>& want) {
+  ASSERT_EQ(lens.size() * 2, want.size());
+  Xoshiro256ss rng(seed);
+  for (std::size_t k = 0; k < lens.size(); ++k) {
+    const auto [bases, exps] = multiexp_test::shaped_product(g, lens[k], rng);
+    const std::string label = "len=" + std::to_string(lens[k]);
+    OpCountScope model;
+    (void)multi_pow_pippenger<G>(g, bases, exps);
+    multiexp_test::expect_ops(model.delta(), want[2 * k], label);
+    OpCountScope fixed;
+    (void)multi_pow_pippenger<G>(g, bases, exps, 4);
+    multiexp_test::expect_ops(fixed.delta(), want[2 * k + 1], label + " c=4");
+  }
+}
+
+TEST(PippengerSchedule, GoldenOpCountsGroup64) {
+  expect_golden_pippenger(Group64::test_group(), 53, {1, 9, 40, 432, 600},
+                          {
+                              {30, 0, 0, 0}, {43, 0, 0, 0},
+                              {0, 0, 0, 0}, {0, 0, 0, 0},
+                              {348, 0, 0, 0}, {348, 0, 0, 0},
+                              {2445, 0, 0, 0}, {2654, 0, 0, 0},
+                              {2815, 0, 0, 0}, {3184, 0, 0, 0},
+                          });
+}
+
+TEST(PippengerSchedule, GoldenOpCountsGroup256) {
+  Xoshiro256ss grng(12);
+  expect_golden_pippenger(Group256::generate(96, 64, grng), 54, {7, 432},
+                          {
+                              {94, 0, 0, 0}, {134, 0, 0, 0},
+                              {2100, 0, 0, 0}, {1869, 0, 0, 0},
+                          });
 }
 
 }  // namespace
